@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
 
-from .errors import Defect, InputError, PolytopeError
+from .errors import Defect, FormatError, InputError, PolytopeError
 from .formats import (
     format_matrix,
     format_vertex,
@@ -107,7 +107,10 @@ def _emit(result: CommandResult, as_json: bool) -> None:
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="ascii")
+    try:
+        return Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not ASCII text ({exc.reason} at byte {exc.start})") from exc
 
 
 def _load_code(family: str, path: str) -> PolytopeCode:

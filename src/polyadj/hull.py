@@ -203,9 +203,9 @@ def in_convex_hull(point: Sequence, vertices: Sequence[Bits]) -> HullCertificate
     p = _as_rational(point)
     _check_vertex_list(len(p), vertices)
     d = len(p)
-    rows = [[Fraction(x[r]) for x in vertices] for r in range(d)]
-    rows.append([Fraction(1)] * len(vertices))
-    rhs = list(p) + [Fraction(1)]
+    rows = [[x[r] for x in vertices] for r in range(d)]
+    rows.append([1] * len(vertices))
+    rhs = list(p) + [1]
     sol = simplex.feasible_point(rows, rhs)
     if sol is None:
         return None
@@ -225,11 +225,11 @@ def in_convex_hull_bruteforce(point: Sequence, vertices: Sequence[Bits]) -> Hull
     p = _as_rational(point)
     _check_vertex_list(len(p), vertices)
     d = len(p)
-    rhs = list(p) + [Fraction(1)]
+    rhs = list(p) + [1]
     for k in range(1, min(d + 1, len(vertices)) + 1):
         for subset in combinations(range(len(vertices)), k):
-            matrix = [[Fraction(vertices[i][r]) for i in subset] for r in range(d)]
-            matrix.append([Fraction(1)] * k)
+            matrix = [[vertices[i][r] for i in subset] for r in range(d)]
+            matrix.append([1] * k)
             sol, unique = linalg.gauss_solve(matrix, rhs)
             if sol is None or not unique:
                 continue
@@ -402,18 +402,15 @@ def _segment_witness(
         return None
     d = len(u)
     nw = len(rest)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list[int]] = []
+    rhs: list[int] = []
     for i in range(d):
-        row = [Fraction(x[i]) for x in rest]
-        row.append(Fraction(v[i] - u[i]))
-        row.append(Fraction(0))
-        rows.append(row)
-        rhs.append(Fraction(v[i]))
-    rows.append([Fraction(1)] * nw + [Fraction(0), Fraction(0)])
-    rhs.append(Fraction(1))
-    rows.append([Fraction(0)] * nw + [Fraction(1), Fraction(1)])
-    rhs.append(Fraction(1))
+        rows.append([x[i] for x in rest] + [v[i] - u[i], 0])
+        rhs.append(v[i])
+    rows.append([1] * nw + [0, 0])
+    rhs.append(1)
+    rows.append([0] * nw + [1, 1])
+    rhs.append(1)
     sol = simplex.feasible_point(rows, rhs)
     if sol is None:
         return None

@@ -213,17 +213,15 @@ def _segment_meets_rest(u: Bits, v: Bits, rest: Sequence[Bits]) -> bool:
         return False
     d = len(u)
     nw = len(rest)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list[int]] = []
+    rhs: list[int] = []
     for i in range(d):
-        row = [Fraction(x[i]) for x in rest]
-        row.extend((Fraction(-u[i]), Fraction(-v[i])))
-        rows.append(row)
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * nw + [Fraction(0), Fraction(0)])
-    rhs.append(Fraction(1))
-    rows.append([Fraction(0)] * nw + [Fraction(1), Fraction(1)])
-    rhs.append(Fraction(1))
+        rows.append([x[i] for x in rest] + [-u[i], -v[i]])
+        rhs.append(0)
+    rows.append([1] * nw + [0, 0])
+    rhs.append(1)
+    rows.append([0] * nw + [1, 1])
+    rhs.append(1)
     return feasible_point(rows, rhs) is not None
 
 

@@ -250,6 +250,15 @@ def test_missing_file_is_input_error(workdir, capsys):
     assert out.startswith("status: input-error\n")
 
 
+def test_non_ascii_file_is_input_error(workdir, capsys):
+    bad = workdir / "bytes.graph"
+    bad.write_bytes(b"p 3 1\ne 1 2\xff\n")
+    rc, out = run(capsys, "enumerate", "stable", str(bad))
+    assert rc == 2
+    assert out.startswith("status: input-error\n")
+    assert "not ASCII" in out
+
+
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

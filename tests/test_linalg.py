@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import fraction_reference
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -59,3 +60,26 @@ def test_gauss_reproduces_planted(n, data):
     assert sol is not None
     for row, b in zip(rows, rhs):
         assert sum(c * w for c, w in zip(row, sol)) == b
+
+
+_ENTRY = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=5),
+    st.data(),
+)
+def test_matches_fraction_reference(m, n, data):
+    rows = [[data.draw(_ENTRY) for _ in range(n)] for _ in range(m)]
+    if data.draw(st.booleans()):
+        # A repeated row makes the system rank-deficient, and a shifted
+        # right-hand side on it makes the system inconsistent.
+        i = data.draw(st.integers(min_value=0, max_value=m - 1))
+        rows.append([2 * c for c in rows[i]])
+    rhs = [data.draw(_ENTRY) for _ in rows]
+    assert gauss_solve(rows, rhs) == fraction_reference.gauss_solve(rows, rhs)
+    assert kernel_vector(rows) == fraction_reference.kernel_vector(rows)
