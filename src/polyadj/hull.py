@@ -4,6 +4,12 @@ Operations: vertex enumeration of a coded polytope, convex-hull
 membership with convex-weight certificates, Caratheodory support
 reduction, supporting-hyperplane face tests, and vertex adjacency.
 
+Enumeration works on int words, one bit per coordinate with coordinate
+0 the most significant, and caches them per code; vertex_words hands
+the words to the library's own bit-level code, and enumerate_vertices
+unpacks them into Bits tuples, the form every public function here
+takes and returns.
+
 Every positive answer carries a certificate that re-verifies by exact
 arithmetic, and every procedure is deterministic: identical inputs yield
 identical certificates (fixed pivot order under Bland's rule, fixed
@@ -55,9 +61,18 @@ def enumerate_vertices(
     and must be raised explicitly to go past it.
     """
     d = dimension(code)
+    return [bits_from_int(w, d) for w in vertex_words(code, max_dim=max_dim)]
+
+
+def vertex_words(
+    code: PolytopeCode, *, max_dim: int = DEFAULT_ENUMERATION_CAP
+) -> tuple[int, ...]:
+    """The vertices of enumerate_vertices as int words, coordinate 0 the
+    most significant bit, in increasing order."""
+    d = dimension(code)
     if d > max_dim:
         raise DimensionCapExceeded(d, max_dim)
-    return [bits_from_int(w, d) for w in _members(code)]
+    return _members(code)
 
 
 @lru_cache(maxsize=512)
@@ -108,7 +123,12 @@ def _pruned_search(d: int, constraints: Sequence[tuple[tuple[int, ...], int, int
         for c in cs:
             rem[c] += 1
 
-    descend(0, 0)
+    try:
+        descend(0, 0)
+    finally:
+        # descend holds itself through its closure cell; unbinding it
+        # frees the search state now instead of at the next collection
+        del descend
     return out
 
 

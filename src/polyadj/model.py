@@ -41,10 +41,11 @@ FAMILIES = ("cover", "pack", "part", "stable", "dcp", "npadj")
 
 def as_bits(values: Iterable[int]) -> Bits:
     """Coerce to a tuple of 0/1 ints, rejecting anything else."""
-    bits = tuple(int(v) for v in values)
-    for b in bits:
-        if b not in (0, 1):
-            raise InputError(f"not a 0/1 vector: contains {b}")
+    bits = tuple(map(int, values))
+    if bits.count(0) + bits.count(1) != len(bits):
+        for b in bits:
+            if b not in (0, 1):
+                raise InputError(f"not a 0/1 vector: contains {b}")
     return bits
 
 
@@ -52,18 +53,23 @@ def complement(x: Bits) -> Bits:
     return tuple(1 - b for b in x)
 
 
-def vector_sum(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
-    if len(x) != len(y):
-        raise DimensionMismatch(len(x), len(y))
-    return tuple(a + b for a, b in zip(x, y))
+# Inside the library a 0/1 vector is often kept as an int word with
+# coordinate 0 as the most significant of its dim bits; these two
+# functions are the only conversion between words and Bits tuples.
+_FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def bits_from_int(word: int, dim: int) -> Bits:
-    """Unpack an integer into a bit vector, coordinate 0 most significant."""
-    return tuple((word >> (dim - 1 - i)) & 1 for i in range(dim))
+    """Unpack the low dim bits of an integer into a bit vector,
+    coordinate 0 most significant."""
+    top = 1 << dim
+    # the leading one fixes the width, also at dim 0; the slice drops it
+    # with the "0b" prefix
+    return tuple(bin(word & (top - 1) | top)[3:].encode().translate(_FROM_ASCII))
 
 
 def bits_to_int(x: Bits) -> int:
+    """Pack a bit vector into an integer, coordinate 0 most significant."""
     word = 0
     for b in x:
         word = (word << 1) | b
@@ -351,6 +357,16 @@ def constraint_rows(code: PolytopeCode) -> tuple[ConstraintRow, ...]:
         i, j, k = a.row_support(r)
         rows.append(((lay.y3, lay.x(i), lay.xprime(j), lay.xprime(k)), 2, 2))
     return tuple(rows)
+
+
+def stable_edge_masks(g: Graph) -> list[int]:
+    """The constraint rows of stable(g), one word per edge with the
+    bits of both end vertices set: a vertex word w is a stable set iff
+    w & mask != mask for every mask."""
+    top = 1 << g.vertex_count
+    # a list: built once per pair family, tuples of every edge count
+    # would pile up in the interpreter's tuple free lists
+    return [top >> (u + 1) | top >> (v + 1) for (u, v), _, _ in constraint_rows(stable(g))]
 
 
 def membership(code: PolytopeCode, x: Sequence[int]) -> bool:

@@ -29,9 +29,10 @@ from .hull import (
     in_convex_hull,
     in_convex_hull_bruteforce,
     is_face,
+    vertex_words,
 )
 from .matsui import matsui_check
-from .model import BinaryMatrix, Bits, Graph, dcp, npadj, stable
+from .model import BinaryMatrix, Bits, Graph, bits_from_int, dcp, npadj, stable
 from .simplex import feasible_point
 from .reductions import reduction_chain, verify_reduction
 from .witness import pair_extension_oracle, refute_face
@@ -320,19 +321,16 @@ class PairSweepResult:
         return self.families > 0 and not self.failures
 
 
-def _sum_buckets(vertices: Sequence[Bits]) -> dict[int, list[tuple[int, int]]]:
-    """Index pairs grouped by coordinate sum; sums are base-4 packed
-    (digits never exceed two, so addition cannot carry)."""
-    enc = []
-    for x in vertices:
-        word = 0
-        for i, b in enumerate(x):
-            word |= b << (2 * i)
-        enc.append(word)
+def _sum_buckets(words: Sequence[int], dim: int) -> dict[int, list[tuple[int, int]]]:
+    """Index pairs of vertex words grouped by coordinate sum; sums are
+    base-4 packed with coordinate 0 the lowest digit (digits never
+    exceed two, so addition cannot carry)."""
+    # a word's binary digits, reversed and read in base 4, are its packing
+    enc = [int(bin(w | 1 << dim)[:2:-1] or "0", 4) for w in words]
     buckets: dict[int, list[tuple[int, int]]] = {}
-    for i in range(len(vertices)):
+    for i in range(len(enc)):
         ei = enc[i]
-        for j in range(i + 1, len(vertices)):
+        for j in range(i + 1, len(enc)):
             buckets.setdefault(ei + enc[j], []).append((i, j))
     return buckets
 
@@ -366,9 +364,10 @@ def run_pair_extension_sweep(
 
     def visit(g: Graph) -> None:
         result.graphs += 1
-        vertices = enumerate_vertices(stable(g))
+        words = vertex_words(stable(g))
+        vertices = [bits_from_int(w, g.vertex_count) for w in words]
         vert_set = set(vertices)
-        buckets = _sum_buckets(vertices)
+        buckets = _sum_buckets(words, g.vertex_count)
         for key, index_pairs in sorted(buckets.items()):
             if len(index_pairs) < 3:
                 continue
@@ -442,11 +441,12 @@ def run_face_corollary_sweep(
     result = FaceCorollaryResult()
     for nv in vertex_counts:
         for g in all_graphs(nv):
-            vertices = enumerate_vertices(stable(g))
-            if len(vertices) > stable_cap:
+            words = vertex_words(stable(g))
+            if len(words) > stable_cap:
                 continue
             result.graphs += 1
-            buckets = _sum_buckets(vertices)
+            vertices = [bits_from_int(w, nv) for w in words]
+            buckets = _sum_buckets(words, nv)
             for key, index_pairs in sorted(buckets.items()):
                 if len(index_pairs) < 3:
                     continue

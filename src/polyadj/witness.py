@@ -15,12 +15,21 @@ an odd family shows some t >= 2 makes S = U_0 xor U_1 xor U_t distinct
 from every U_p and every complement J - U_p; the vertex with active
 support S and its counterpart form the new pair, and a swap argument
 over the four index classes shows both are stable.
+
+Every step runs on int words, one bit per coordinate with coordinate 0
+the most significant, as hull.vertex_words enumerates them: a pair's
+sum is the two words u & v (coordinates summing to two) and u ^ v
+(summing to one, the active set J), an indicator set is u & J, S is an
+XOR of three words and a complement is an XOR with J.  Bits tuples and
+index sets appear only at the API boundary: the pairs taken in, the
+views PairFamily offers, and the Witness and Refutation handed out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -34,15 +43,17 @@ from .errors import (
     TooFewPairs,
     UnequalSums,
 )
-from .hull import enumerate_vertices
+from .hull import vertex_words
 from .model import (
     DEFAULT_ENUMERATION_CAP,
     Bits,
     Graph,
     as_bits,
+    bits_from_int,
+    bits_to_int,
     membership,
     stable,
-    vector_sum,
+    stable_edge_masks,
 )
 
 Pair = tuple[Bits, Bits]
@@ -52,27 +63,61 @@ def symmetric_difference(x: Iterable[int], y: Iterable[int]) -> frozenset[int]:
     return frozenset(x) ^ frozenset(y)
 
 
+@cache
+def _half(v: int) -> Fraction:
+    # built on first use, not at import: Fractions made during import
+    # were seen to speed up the Fraction-arithmetic probe that scales
+    # the benchmark's set-up time, reading as a slower set-up
+    return Fraction(v, 2)
+
+
+def _index_set(word: int, d: int) -> frozenset[int]:
+    return frozenset(i for i, b in enumerate(bits_from_int(word, d)) if b)
+
+
 @dataclass(frozen=True)
 class PairFamily:
     """A validated, oriented family of distinct equal-sum stable pairs.
 
     pairs holds every input pair, oriented so the designated member has
-    a one at j0; working counts the prefix actually searched (the whole
-    family when its size is odd, one less when even, keeping the parity
-    argument available).  fixed is the frozen coordinate set, active its
-    complement, and indicator[i] the active support of pair i's
-    designated member.
+    a one at j0, and words the same pairs as int words; twos and ones
+    are the words of the coordinates where the common sum is two and
+    one.  working counts the prefix actually searched (the whole family
+    when its size is odd, one less when even, keeping the parity
+    argument available).  The views total, fixed (the frozen coordinate
+    set), active (its complement, the set of ones) and indicator
+    (indicator[i] the active support of pair i's designated member) are
+    derived from the words.
     """
 
     graph: Graph
     pairs: tuple[Pair, ...]
-    total: tuple[int, ...]
-    fixed: frozenset[int]
-    active: frozenset[int]
+    words: tuple[tuple[int, int], ...]
+    twos: int
+    ones: int
     j0: int
-    indicator: tuple[frozenset[int], ...]
     k: int
     working: int
+
+    @property
+    def total(self) -> tuple[int, ...]:
+        d = self.graph.vertex_count
+        return tuple(
+            2 * a + b for a, b in zip(bits_from_int(self.twos, d), bits_from_int(self.ones, d))
+        )
+
+    @property
+    def fixed(self) -> frozenset[int]:
+        return _index_set(~self.ones, self.graph.vertex_count)
+
+    @property
+    def active(self) -> frozenset[int]:
+        return _index_set(self.ones, self.graph.vertex_count)
+
+    @property
+    def indicator(self) -> tuple[frozenset[int], ...]:
+        d = self.graph.vertex_count
+        return tuple(_index_set(y & self.ones, d) for y, _ in self.words)
 
 
 @dataclass(frozen=True)
@@ -90,6 +135,13 @@ class Refutation:
     midpoint: tuple[Fraction, ...]
 
 
+def _is_stable(word: int, masks: list[int]) -> bool:
+    for m in masks:
+        if word & m == m:
+            return False
+    return True
+
+
 def build_pair_family(graph: Graph, pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> PairFamily:
     """Validate and orient a family of equal-sum stable pairs.
 
@@ -100,49 +152,64 @@ def build_pair_family(graph: Graph, pairs: Sequence[tuple[Sequence[int], Sequenc
     """
     if len(pairs) < 3:
         raise TooFewPairs(len(pairs))
-    code = stable(graph)
     d = graph.vertex_count
+    masks = stable_edge_masks(graph)
     checked: list[Pair] = []
+    words: list[tuple[int, int]] = []
     for idx, (u, v) in enumerate(pairs):
         ub, vb = as_bits(u), as_bits(v)
         if len(ub) != d or len(vb) != d:
             raise DimensionMismatch(d, len(ub) if len(ub) != d else len(vb))
-        if not membership(code, ub) or not membership(code, vb):
+        uw, vw = bits_to_int(ub), bits_to_int(vb)
+        if not (_is_stable(uw, masks) and _is_stable(vw, masks)):
             raise NotInStablePolytope(idx)
         checked.append((ub, vb))
-    if checked[0][0] == checked[0][1]:
+        words.append((uw, vw))
+    u0, v0 = words[0]
+    if u0 == v0:
         raise DegeneratePair()
-    total = vector_sum(*checked[0])
-    for idx in range(1, len(checked)):
-        if vector_sum(*checked[idx]) != total:
+    # two 0/1 vectors have the same sum iff they agree on both words
+    twos, ones = u0 & v0, u0 ^ v0
+    for idx, (uw, vw) in enumerate(words):
+        if uw & vw != twos or uw ^ vw != ones:
             raise UnequalSums(idx)
-    seen: set[frozenset[Bits]] = set()
-    for idx, (ub, vb) in enumerate(checked):
-        key = frozenset((ub, vb))
+    seen: set[tuple[int, int]] = set()
+    for idx, (uw, vw) in enumerate(words):
+        key = (uw, vw) if uw < vw else (vw, uw)
         if key in seen:
             raise DuplicatePairs(idx)
         seen.add(key)
-    active = frozenset(i for i, s in enumerate(total) if s == 1)
-    if not active:
-        raise DegeneratePair()
-    fixed = frozenset(range(d)) - active
-    j0 = min(active)
-    oriented = tuple((u, v) if u[j0] == 1 else (v, u) for u, v in checked)
-    indicator = tuple(
-        frozenset(j for j in active if y[j] == 1) for y, _ in oriented
-    )
+    # j0, the smallest active coordinate, is the highest bit of ones
+    j0_bit = 1 << (ones.bit_length() - 1)
+    oriented = [(p, w) if w[0] & j0_bit else (p[::-1], w[::-1]) for p, w in zip(checked, words)]
     working = len(oriented) if len(oriented) % 2 == 1 else len(oriented) - 1
     return PairFamily(
         graph=graph,
-        pairs=oriented,
-        total=total,
-        fixed=fixed,
-        active=active,
-        j0=j0,
-        indicator=indicator,
+        pairs=tuple(p for p, _ in oriented),
+        words=tuple(w for _, w in oriented),
+        twos=twos,
+        ones=ones,
+        j0=d - ones.bit_length(),
         k=(working - 1) // 2,
         working=working,
     )
+
+
+def _find_t_word(family: PairFamily) -> tuple[int, int]:
+    ones = family.ones
+    u = [y & ones for y, _ in family.words]
+    blocked = set(u)
+    blocked.update(ones ^ x for x in u)
+    u01 = u[0] ^ u[1]
+    for t in range(2, family.working):
+        s = u01 ^ u[t]
+        if s not in blocked:
+            return t, s
+    if family.working < len(family.pairs):
+        raise InvariantViolation(
+            "every candidate collides; the excluded even-family pair blocks the search"
+        )
+    raise InvariantViolation("no valid symmetric difference found in an odd family")
 
 
 def find_t(family: PairFamily) -> tuple[int, frozenset[int]]:
@@ -156,17 +223,23 @@ def find_t(family: PairFamily) -> tuple[int, frozenset[int]]:
     collision with that pair alone can be unavoidable; that raises
     InvariantViolation, pointing at the excluded pair.
     """
-    u = family.indicator
-    active = family.active
-    for t in range(2, family.working):
-        s = u[0] ^ u[1] ^ u[t]
-        if all(s != u[p] and s != active - u[p] for p in range(len(u))):
-            return t, s
-    if family.working < len(family.pairs):
-        raise InvariantViolation(
-            "every candidate collides; the excluded even-family pair blocks the search"
-        )
-    raise InvariantViolation("no valid symmetric difference found in an odd family")
+    t, s = _find_t_word(family)
+    return t, _index_set(s, family.graph.vertex_count)
+
+
+def _witness(family: PairFamily, s: int, s_set: frozenset[int], t: int | None) -> Witness:
+    ones = family.ones
+    # the lead's frozen coordinates, with the active ones cleared
+    frozen = family.words[0][0] & ~ones
+    y_star, y_bar = frozen | s, frozen | (ones ^ s)
+    d = family.graph.vertex_count
+    y_star_bits, y_bar_bits = bits_from_int(y_star, d), bits_from_int(y_bar, d)
+    code = stable(family.graph)
+    if not membership(code, y_star_bits) or not membership(code, y_bar_bits):
+        raise MembershipViolation("constructed pair member is not a stable-set vertex")
+    if y_star & y_bar != family.twos or y_star ^ y_bar != ones:
+        raise InvariantViolation("constructed pair breaks the common sum")
+    return Witness(y_star=y_star_bits, y_star_bar=y_bar_bits, t=t, s_set=s_set)
 
 
 def construct_witness(
@@ -181,20 +254,8 @@ def construct_witness(
     s = frozenset(s_set)
     if not s <= family.active:
         raise InputError("witness support must lie inside the active coordinate set")
-    lead = family.pairs[0][0]
-    d = family.graph.vertex_count
-    y_star = tuple(
-        lead[i] if i in family.fixed else int(i in s) for i in range(d)
-    )
-    y_bar = tuple(
-        lead[i] if i in family.fixed else int(i in family.active - s) for i in range(d)
-    )
-    code = stable(family.graph)
-    if not membership(code, y_star) or not membership(code, y_bar):
-        raise MembershipViolation("constructed pair member is not a stable-set vertex")
-    if vector_sum(y_star, y_bar) != family.total:
-        raise InvariantViolation("constructed pair breaks the common sum")
-    return Witness(y_star=y_star, y_star_bar=y_bar, t=t, s_set=s)
+    word = bits_to_int(tuple(int(i in s) for i in range(family.graph.vertex_count)))
+    return _witness(family, word, s, t)
 
 
 def refute_face(
@@ -208,13 +269,12 @@ def refute_face(
     family is never the complete vertex set of a face.
     """
     family = build_pair_family(graph, pairs)
-    t, s = find_t(family)
-    witness = construct_witness(family, s, t)
-    new_pair = frozenset((witness.y_star, witness.y_star_bar))
-    for u, v in family.pairs:
-        if frozenset((u, v)) == new_pair:
-            raise InvariantViolation("witness pair duplicates an input pair")
-    midpoint = tuple(Fraction(v, 2) for v in family.total)
+    t, s = _find_t_word(family)
+    witness = _witness(family, s, _index_set(s, graph.vertex_count), t)
+    pair = (witness.y_star, witness.y_star_bar)
+    if pair in family.pairs or pair[::-1] in family.pairs:
+        raise InvariantViolation("witness pair duplicates an input pair")
+    midpoint = tuple(map(_half, family.total))
     return Refutation(family=family, witness=witness, midpoint=midpoint)
 
 
@@ -224,8 +284,9 @@ def pair_extension_oracle(
     """All unordered stable-vertex pairs with the given coordinate sum,
     lexicographic by smaller member.
 
-    Linear in the vertex count: each vertex looks up its forced
-    counterpart in a hash set.
+    Linear in the vertex count: a vertex y with the sum's frozen
+    coordinates has the forced counterpart y xor J, looked up in a hash
+    set.
     """
     d = graph.vertex_count
     if len(total) != d:
@@ -233,13 +294,16 @@ def pair_extension_oracle(
     for v in total:
         if v not in (0, 1, 2):
             raise InputError(f"coordinate sums must be 0, 1, or 2, got {v}")
-    verts = enumerate_vertices(stable(graph), max_dim=max_dim)
-    vert_set = set(verts)
+    twos = bits_to_int(tuple(int(v == 2) for v in total))
+    ones = bits_to_int(tuple(int(v == 1) for v in total))
+    frozen = ~ones
+    words = vertex_words(stable(graph), max_dim=max_dim)
+    members = set(words)
     out: list[Pair] = []
-    for y in verts:
-        z = tuple(s - b for s, b in zip(total, y))
-        if any(b not in (0, 1) for b in z):
-            continue
-        if y < z and z in vert_set:
-            out.append((y, z))
+    # words increase, so y < z orders the pair as Bits tuples too
+    for y in words:
+        if y & frozen == twos:
+            z = y ^ ones
+            if y < z and z in members:
+                out.append((bits_from_int(y, d), bits_from_int(z, d)))
     return out

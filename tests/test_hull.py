@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -16,6 +17,7 @@ from polyadj.errors import (
 from polyadj.generators import random_vertex_set
 from polyadj.hull import (
     HullCertificate,
+    _pruned_search,
     are_adjacent,
     caratheodory_reduce,
     enumerate_vertices,
@@ -29,6 +31,7 @@ from polyadj.model import (
     BinaryMatrix,
     Graph,
     bits_from_int,
+    constraint_rows,
     dcp,
     dimension,
     membership,
@@ -55,6 +58,30 @@ def test_enumeration_matches_direct_scan():
     expected = [x for x in scan if membership(code, x)]
     assert enumerate_vertices(code) == expected
     assert len(expected) == 14
+
+
+def test_enumeration_at_zero_and_cap_dimension():
+    assert enumerate_vertices(stable(Graph(0, ()))) == [()]
+    # a complete graph on 24 vertices: the empty set and the singletons
+    k24 = Graph.from_edges(24, combinations(range(24), 2))
+    verts = enumerate_vertices(stable(k24))
+    assert verts == [(0,) * 24] + [
+        tuple(int(i == j) for i in range(24)) for j in reversed(range(24))
+    ]
+    with pytest.raises(DimensionCapExceeded):
+        enumerate_vertices(stable(Graph(25, ())))
+
+
+def test_pruned_search_leaves_no_cyclic_garbage():
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    rows = constraint_rows(stable(g))
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(_pruned_search(6, rows)) == 21
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumeration_cap():

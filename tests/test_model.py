@@ -1,4 +1,5 @@
 import pytest
+import witness_reference
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -29,6 +30,7 @@ from polyadj.model import (
     pack,
     part,
     stable,
+    stable_edge_masks,
     validate_code,
 )
 
@@ -71,10 +73,34 @@ def test_bits_round_trip_examples():
     assert complement((1, 0, 1)) == (0, 1, 0)
 
 
-@given(st.integers(min_value=1, max_value=12), st.data())
+@given(st.integers(min_value=0, max_value=24), st.data())
 def test_bits_round_trip(dim, data):
     word = data.draw(st.integers(min_value=0, max_value=(1 << dim) - 1))
-    assert bits_to_int(bits_from_int(word, dim)) == word
+    bits = bits_from_int(word, dim)
+    assert bits == witness_reference.bits_from_int(word, dim)
+    assert bits_to_int(bits) == word == witness_reference.bits_to_int(bits)
+    # bits above dim are dropped, as the shift-and-mask unpack drops them
+    wide = data.draw(st.integers(min_value=-(1 << 30), max_value=1 << 30))
+    assert bits_from_int(wide, dim) == witness_reference.bits_from_int(wide, dim)
+
+
+def test_bits_at_zero_and_cap_dimension():
+    assert bits_from_int(0, 0) == ()
+    assert bits_from_int(5, 0) == ()
+    assert bits_to_int(()) == 0
+    assert bits_from_int((1 << 24) - 1, 24) == (1,) * 24
+    assert bits_from_int(1 << 23, 24) == (1,) + (0,) * 23
+    assert bits_to_int((0,) * 23 + (1,)) == 1
+
+
+def test_stable_edge_masks_follow_constraint_rows():
+    g = Graph.from_edges(4, [(0, 1), (2, 3), (0, 3)])
+    masks = stable_edge_masks(g)
+    assert masks == [0b1100, 0b1001, 0b0011]
+    for word in range(16):
+        x = bits_from_int(word, 4)
+        assert membership(stable(g), x) == all(word & m != m for m in masks)
+    assert stable_edge_masks(Graph(0, ())) == []
 
 
 def test_dimension_per_family():

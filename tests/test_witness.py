@@ -1,7 +1,9 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given
+import witness_reference as ref
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyadj.errors import (
@@ -234,3 +236,123 @@ def test_no_complete_sum_class_is_odd_and_large():
                     sums[key] = sums.get(key, 0) + 1
             for count in sums.values():
                 assert not (count >= 3 and count % 2 == 1)
+
+
+# ---- differential test against the tuple reference ----------------------
+
+MUTATIONS = (
+    "none", "none", "none", "non01", "length", "unstable", "unequal",
+    "flip", "duplicate", "degenerate", "short", "lists",
+)
+
+
+@st.composite
+def witness_cases(draw):
+    """A graph on at most 8 vertices, a pair list drawn from one of its
+    equal-sum classes (odd or even, in random orientation) with at most
+    one defect, a support set for construct_witness and a sum vector."""
+    # small graphs have few pairs per class, so sizes 4-8 come more often
+    nv = draw(st.sampled_from(range(9)) | st.sampled_from(range(4, 9)))
+    slots = list(combinations(range(nv), 2))
+    edges = draw(st.lists(st.sampled_from(slots), unique=True)) if slots else []
+    g = Graph.from_edges(nv, edges)
+    verts = enumerate_vertices(stable(g))
+    classes: dict[tuple[int, ...], list] = {}
+    for u, v in combinations(verts, 2):
+        classes.setdefault(tuple(a + b for a, b in zip(u, v)), []).append((u, v))
+    large = [c for c in classes.values() if len(c) >= 3]
+    pool = draw(st.sampled_from(large or list(classes.values()) or [[((), ())]]))
+    size = draw(st.sampled_from(range(min(3, len(pool)), min(7, len(pool)) + 1)))
+    chosen = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size, unique=True))
+    total = tuple(a + b for a, b in zip(*pool[0]))
+    pairs = [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen]
+    mutation = draw(st.sampled_from(MUTATIONS))
+    at = draw(st.integers(min_value=0, max_value=len(pairs) - 1))
+    u, v = pairs[at]
+    if mutation == "non01":
+        k = draw(st.integers(min_value=0, max_value=nv))
+        pairs[at] = (u[:k] + (draw(st.sampled_from((2, -1))),) + u[k + 1 :], v)
+    elif mutation == "length":
+        pairs[at] = (u, v + (0,) if draw(st.booleans()) else v[:-1])
+    elif mutation == "unstable":
+        pairs[at] = (tuple(draw(st.lists(st.integers(0, 1), min_size=nv, max_size=nv))), v)
+    elif mutation == "unequal":
+        pairs[at] = (draw(st.sampled_from(verts)), draw(st.sampled_from(verts)))
+    elif mutation == "flip":
+        # the same coordinate flipped in both members: the sum moves
+        # between 0 and 2 there while u xor v stays
+        agree = [k for k in range(nv) if u[k] == v[k]]
+        if agree:
+            k = draw(st.sampled_from(agree))
+            pairs[at] = tuple(x[:k] + (1 - x[k],) + x[k + 1 :] for x in (u, v))
+    elif mutation == "duplicate":
+        pairs.insert(at, (v, u) if draw(st.booleans()) else (u, v))
+    elif mutation == "degenerate":
+        pairs.insert(0, (u, u))
+    elif mutation == "short":
+        pairs = pairs[:2]
+    elif mutation == "lists":
+        pairs = [[list(u), list(v)] for u, v in pairs]
+    # mostly inside the active set, sometimes one coordinate outside it
+    inside = [i for i, v in enumerate(total) if v == 1]
+    support = draw(st.frozensets(st.sampled_from(inside + [nv])))
+    sums = draw(
+        st.one_of(
+            st.just(total),
+            st.lists(st.integers(-1, 3), min_size=max(nv - 1, 0), max_size=nv + 1).map(tuple),
+        )
+    )
+    return g, pairs, support, sums
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+def _family_view(family):
+    fields = (
+        family.graph, family.pairs, family.total, family.fixed, family.active,
+        family.j0, family.indicator, family.k, family.working,
+    )
+    return fields, tuple(type(f) for f in fields)
+
+
+def _same(new, old, view=lambda x: x):
+    if new[0] == "ok" and old[0] == "ok":
+        assert view(new[1]) == view(old[1])
+    else:
+        assert new == old
+
+
+@settings(max_examples=400, deadline=None)
+@given(witness_cases())
+def test_matches_tuple_reference(case):
+    g, pairs, support, sums = case
+    new = _outcome(build_pair_family, g, pairs)
+    old = _outcome(ref.build_pair_family, g, pairs)
+    _same(new, old, _family_view)
+    if new[0] == "ok":
+        new_t, old_t = _outcome(find_t, new[1]), _outcome(ref.find_t, old[1])
+        _same(new_t, old_t)
+        if new_t[0] == "ok":
+            t, s_set = new_t[1]
+            _same(
+                _outcome(construct_witness, new[1], s_set, t),
+                _outcome(ref.construct_witness, old[1], s_set, t),
+            )
+        _same(
+            _outcome(construct_witness, new[1], support),
+            _outcome(ref.construct_witness, old[1], support),
+        )
+    _same(
+        _outcome(refute_face, g, pairs),
+        _outcome(ref.refute_face, g, pairs),
+        lambda r: (_family_view(r.family), r.witness, r.midpoint),
+    )
+    _same(
+        _outcome(pair_extension_oracle, g, sums),
+        _outcome(ref.pair_extension_oracle, g, sums),
+    )
