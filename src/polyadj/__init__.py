@@ -1,35 +1,11 @@
 """Exact tools for 0/1-polytope families: enumeration, adjacency and
 face certificates, affine reductions between families, and the
-equal-sum pair witness construction on stable-set polytopes."""
+equal-sum pair witness construction on stable-set polytopes.
 
-from .errors import (
-    CoordinateOutOfRange,
-    DcpRowWeight,
-    Defect,
-    DegeneratePair,
-    DimensionCapExceeded,
-    DimensionMismatch,
-    DuplicatePairs,
-    EmptyGraph,
-    EmptyMatrix,
-    EmptyVertexList,
-    EqualVertices,
-    FormatError,
-    InputError,
-    InvalidCertificate,
-    InvariantViolation,
-    MembershipViolation,
-    NoEdges,
-    NotASubset,
-    NotInStablePolytope,
-    NPadjEmptyMatrix,
-    NPadjRowWeight,
-    PolytopeError,
-    RowWeightNotThree,
-    TooFewPairs,
-    UnequalSums,
-    VertexNotInSet,
-)
+The package namespace re-exports the names the README, the tests and
+the benchmark use; everything else is imported from its module."""
+
+from .errors import Defect, FormatError, InputError, PolytopeError
 from .formats import (
     format_graph,
     format_matrix,
@@ -44,164 +20,17 @@ from .formats import (
     rat_str,
 )
 from .hull import (
-    AdjacencyVerdict,
-    FaceCertificate,
     HullCertificate,
     SegmentCertificate,
     are_adjacent,
-    caratheodory_reduce,
     enumerate_vertices,
     in_convex_hull,
     in_convex_hull_bruteforce,
-    is_face,
     verify_face_certificate,
     verify_hull_certificate,
 )
-from .matsui import (
-    MatsuiReport,
-    NPadjDecomposition,
-    face_decomposition,
-    matsui_check,
-    special_vertices,
-)
-from .model import (
-    DEFAULT_ENUMERATION_CAP,
-    AffineMap,
-    BinaryMatrix,
-    Bits,
-    DcpLayout,
-    Graph,
-    NPadjLayout,
-    PolytopeCode,
-    RatVector,
-    apply_affine,
-    complement,
-    cover,
-    dcp,
-    dimension,
-    membership,
-    npadj,
-    pack,
-    part,
-    stable,
-    validate_code,
-)
-from .reductions import (
-    ChainArtifacts,
-    ReductionArtifact,
-    ReductionReport,
-    face_slice,
-    npadj_to_dcp,
-    part_to_npadj,
-    reduction_chain,
-    stable_to_part,
-    verify_reduction,
-)
-from .witness import (
-    PairFamily,
-    Refutation,
-    Witness,
-    build_pair_family,
-    construct_witness,
-    find_t,
-    pair_extension_oracle,
-    refute_face,
-    symmetric_difference,
-)
+from .matsui import matsui_check
+from .model import BinaryMatrix, Bits, Graph, dcp, stable
+from .witness import pair_extension_oracle, refute_face
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdjacencyVerdict",
-    "AffineMap",
-    "BinaryMatrix",
-    "Bits",
-    "ChainArtifacts",
-    "CoordinateOutOfRange",
-    "DEFAULT_ENUMERATION_CAP",
-    "DcpLayout",
-    "DcpRowWeight",
-    "Defect",
-    "DegeneratePair",
-    "DimensionCapExceeded",
-    "DimensionMismatch",
-    "DuplicatePairs",
-    "EmptyGraph",
-    "EmptyMatrix",
-    "EmptyVertexList",
-    "EqualVertices",
-    "FaceCertificate",
-    "FormatError",
-    "Graph",
-    "HullCertificate",
-    "InputError",
-    "InvalidCertificate",
-    "InvariantViolation",
-    "MatsuiReport",
-    "MembershipViolation",
-    "NPadjDecomposition",
-    "NPadjEmptyMatrix",
-    "NPadjLayout",
-    "NPadjRowWeight",
-    "NoEdges",
-    "NotASubset",
-    "NotInStablePolytope",
-    "PairFamily",
-    "PolytopeCode",
-    "PolytopeError",
-    "RatVector",
-    "ReductionArtifact",
-    "ReductionReport",
-    "Refutation",
-    "RowWeightNotThree",
-    "SegmentCertificate",
-    "TooFewPairs",
-    "UnequalSums",
-    "VertexNotInSet",
-    "Witness",
-    "apply_affine",
-    "are_adjacent",
-    "build_pair_family",
-    "caratheodory_reduce",
-    "complement",
-    "construct_witness",
-    "cover",
-    "dcp",
-    "dimension",
-    "enumerate_vertices",
-    "face_decomposition",
-    "face_slice",
-    "find_t",
-    "format_graph",
-    "format_matrix",
-    "format_pairs",
-    "format_vertex",
-    "format_vertex_list",
-    "in_convex_hull",
-    "in_convex_hull_bruteforce",
-    "is_face",
-    "matsui_check",
-    "membership",
-    "npadj",
-    "npadj_to_dcp",
-    "pack",
-    "pair_extension_oracle",
-    "parse_graph",
-    "parse_matrix",
-    "parse_pairs",
-    "parse_vertex",
-    "parse_vertex_list",
-    "part",
-    "part_to_npadj",
-    "rat_str",
-    "reduction_chain",
-    "refute_face",
-    "special_vertices",
-    "stable",
-    "stable_to_part",
-    "symmetric_difference",
-    "validate_code",
-    "verify_face_certificate",
-    "verify_hull_certificate",
-    "verify_reduction",
-]

@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
 
-from .errors import Defect, FormatError, InputError, PolytopeError
+from .errors import Defect, FormatError, PolytopeError
 from .formats import (
     format_matrix,
     format_vertex,
@@ -34,6 +34,7 @@ from .hull import FaceCertificate, HullCertificate, are_adjacent, enumerate_vert
 from .matsui import matsui_check
 from .model import (
     DEFAULT_ENUMERATION_CAP,
+    FAMILIES,
     PolytopeCode,
     cover,
     dcp,
@@ -117,14 +118,6 @@ def _load_code(family: str, path: str) -> PolytopeCode:
     if family == "stable":
         return stable(parse_graph(_read_text(path)))
     return _MATRIX_FAMILIES[family](parse_matrix(_read_text(path)))
-
-
-def _check_cap(max_dim: int) -> None:
-    if max_dim > DEFAULT_ENUMERATION_CAP:
-        sys.stderr.write(
-            f"warning: enumeration cap raised to {max_dim}; dimensions above "
-            f"{DEFAULT_ENUMERATION_CAP} can be slow\n"
-        )
 
 
 def _hull_support(cert: HullCertificate) -> list[str]:
@@ -346,17 +339,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    families = ("cover", "pack", "part", "stable", "dcp", "npadj")
-
     p = sub.add_parser("enumerate", help="list the vertices of a polytope")
-    p.add_argument("family", choices=families)
+    p.add_argument("family", choices=FAMILIES)
     p.add_argument("input", help="matrix file, or graph file for the stable family")
     p.add_argument("--count-only", action="store_true", help="report the count only")
     _add_common(p)
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("adjacent", help="decide adjacency of two vertices")
-    p.add_argument("family", choices=families)
+    p.add_argument("family", choices=FAMILIES)
     p.add_argument("input")
     p.add_argument("u", help="first vertex as a 0/1 string")
     p.add_argument("v", help="second vertex as a 0/1 string")
@@ -383,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_refute_face)
 
     p = sub.add_parser("face-check", help="test whether a vertex subset is a face")
-    p.add_argument("family", choices=families)
+    p.add_argument("family", choices=FAMILIES)
     p.add_argument("input")
     p.add_argument("subset", help="file listing one vertex per line")
     _add_common(p)
@@ -396,14 +387,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "max_dim", 0) > DEFAULT_ENUMERATION_CAP:
-        _check_cap(args.max_dim)
+        sys.stderr.write(
+            f"warning: enumeration cap raised to {args.max_dim}; dimensions above "
+            f"{DEFAULT_ENUMERATION_CAP} can be slow\n"
+        )
     try:
         result = args.handler(args)
     except Defect as exc:
         result = CommandResult("property-failed", {"error": str(exc)})
-    except (InputError, PolytopeError) as exc:
-        result = CommandResult("input-error", {"error": str(exc)})
-    except OSError as exc:
+    except (PolytopeError, OSError) as exc:
         result = CommandResult("input-error", {"error": str(exc)})
     _emit(result, args.json)
     return _EXIT[result.status]

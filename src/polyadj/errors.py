@@ -29,27 +29,12 @@ class EmptyMatrix(InputError):
         super().__init__("matrix must have at least one row")
 
 
-class DcpRowWeight(InputError):
-    def __init__(self, row: int) -> None:
-        super().__init__(f"double-cover row {row} must have exactly four ones")
+class WrongRowWeight(InputError):
+    def __init__(self, row: int, expected: int) -> None:
+        word = {3: "three", 4: "four"}[expected]
+        super().__init__(f"row {row} must have exactly {word} ones")
         self.row = row
-
-
-class NPadjEmptyMatrix(InputError):
-    def __init__(self) -> None:
-        super().__init__("adjacency-family code needs at least one matrix row")
-
-
-class NPadjRowWeight(InputError):
-    def __init__(self, row: int) -> None:
-        super().__init__(f"adjacency-family row {row} must have exactly three ones")
-        self.row = row
-
-
-class RowWeightNotThree(InputError):
-    def __init__(self, row: int) -> None:
-        super().__init__(f"row {row} must have exactly three ones")
-        self.row = row
+        self.expected = expected
 
 
 class EmptyGraph(InputError):

@@ -30,6 +30,7 @@ from .errors import (
     DimensionMismatch,
     EmptyVertexList,
     EqualVertices,
+    InputError,
     InvalidCertificate,
     InvariantViolation,
     NotASubset,
@@ -47,6 +48,11 @@ from .model import (
 
 
 # ---- vertex enumeration ----------------------------------------------------
+
+# The search recurses once per coordinate, so it must stay well below
+# the interpreter's recursion limit (1000 by default) whatever cap the
+# caller passes.
+MAX_SEARCH_DEPTH = 512
 
 
 def enumerate_vertices(
@@ -68,8 +74,13 @@ def vertex_words(
     code: PolytopeCode, *, max_dim: int = DEFAULT_ENUMERATION_CAP
 ) -> tuple[int, ...]:
     """The vertices of enumerate_vertices as int words, coordinate 0 the
-    most significant bit, in increasing order."""
+    most significant bit, in increasing order.  Dimensions above
+    MAX_SEARCH_DEPTH are rejected whatever max_dim allows."""
     d = dimension(code)
+    if d > MAX_SEARCH_DEPTH:
+        raise InputError(
+            f"dimension {d} exceeds {MAX_SEARCH_DEPTH}, the deepest the vertex search can go"
+        )
     if d > max_dim:
         raise DimensionCapExceeded(d, max_dim)
     return _members(code)
@@ -142,9 +153,6 @@ class HullCertificate:
 
     support: tuple[tuple[int, Fraction], ...]
 
-    def as_lines(self) -> list[str]:
-        return [f"{i}: {w.numerator}/{w.denominator}" for i, w in self.support]
-
 
 @dataclass(frozen=True)
 class FaceCertificate:
@@ -153,10 +161,6 @@ class FaceCertificate:
 
     normal: RatVector
     offset: Fraction
-
-    def as_lines(self) -> list[str]:
-        coeffs = " ".join(f"{v.numerator}/{v.denominator}" for v in self.normal)
-        return [f"normal: {coeffs}", f"offset: {self.offset.numerator}/{self.offset.denominator}"]
 
 
 @dataclass(frozen=True)

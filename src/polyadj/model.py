@@ -1,4 +1,4 @@
-"""Polytope codes, coordinate layouts, and exact membership predicates.
+"""Polytope codes, the adjacency-family layout, and exact membership predicates.
 
 A code names one of six families of 0/1-polytopes: covering, packing,
 and partition polytopes of a 0/1 matrix, stable-set polytopes of a
@@ -22,13 +22,11 @@ from typing import Iterable, Sequence, Union
 
 from .errors import (
     CoordinateOutOfRange,
-    DcpRowWeight,
     DimensionMismatch,
     EmptyMatrix,
     InputError,
     InvariantViolation,
-    NPadjEmptyMatrix,
-    NPadjRowWeight,
+    WrongRowWeight,
 )
 
 Bits = tuple[int, ...]
@@ -204,13 +202,13 @@ def validate_code(code: PolytopeCode) -> None:
     if code.family == "dcp":
         for i in range(a.nrows):
             if a.row_weight(i) != 4:
-                raise DcpRowWeight(i)
+                raise WrongRowWeight(i, 4)
     elif code.family == "npadj":
         if a.nrows == 0:
-            raise NPadjEmptyMatrix()
+            raise EmptyMatrix()
         for i in range(a.nrows):
             if a.row_weight(i) != 3:
-                raise NPadjRowWeight(i)
+                raise WrongRowWeight(i, 3)
 
 
 def dimension(code: PolytopeCode) -> int:
@@ -224,7 +222,7 @@ def dimension(code: PolytopeCode) -> int:
     return code.params.ncols
 
 
-# ---- coordinate layouts --------------------------------------------------
+# ---- coordinate layout ---------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -261,63 +259,6 @@ class NPadjLayout:
     def _check(self, j: int) -> None:
         if not 0 <= j < self.n:
             raise CoordinateOutOfRange(j, self.n)
-
-    def name(self, index: int) -> str:
-        if not 0 <= index < self.dim:
-            raise CoordinateOutOfRange(index, self.dim)
-        if index < 3:
-            return ("y1", "y2", "y3")[index]
-        block, j = divmod(index - 3, self.n)
-        prefix = ("x", "xbar", "xp")[block]
-        return f"{prefix}{j + 1}"
-
-    def index(self, name: str) -> int:
-        if name in ("y1", "y2", "y3"):
-            return ("y1", "y2", "y3").index(name)
-        for prefix, block in (("xbar", 1), ("xp", 2), ("x", 0)):
-            if name.startswith(prefix) and name[len(prefix):].isdigit():
-                j = int(name[len(prefix):]) - 1
-                self._check(j)
-                return 3 + block * self.n + j
-        raise InputError(f"unknown coordinate name {name!r}")
-
-
-@dataclass(frozen=True)
-class DcpLayout:
-    """Double-cover layout: two pin coordinates a, b, then an adjacency
-    layout shifted by two."""
-
-    n: int
-
-    a = 0
-    b = 1
-
-    @property
-    def dim(self) -> int:
-        return 3 * self.n + 5
-
-    @property
-    def inner(self) -> NPadjLayout:
-        return NPadjLayout(self.n)
-
-    def shifted(self, inner_index: int) -> int:
-        return 2 + inner_index
-
-    def name(self, index: int) -> str:
-        if not 0 <= index < self.dim:
-            raise CoordinateOutOfRange(index, self.dim)
-        if index == 0:
-            return "a"
-        if index == 1:
-            return "b"
-        return self.inner.name(index - 2)
-
-    def index(self, name: str) -> int:
-        if name == "a":
-            return 0
-        if name == "b":
-            return 1
-        return 2 + self.inner.index(name)
 
 
 # ---- membership ----------------------------------------------------------
@@ -407,13 +348,6 @@ class AffineMap:
             tuple(Fraction(v) for v in offset),
         )
 
-    @classmethod
-    def identity(cls, dim: int) -> "AffineMap":
-        return cls(
-            tuple(tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)),
-            tuple(Fraction(0) for _ in range(dim)),
-        )
-
     @property
     def source_dim(self) -> int:
         return len(self.matrix[0]) if self.matrix else 0
@@ -468,7 +402,3 @@ class AffineMap:
             for row, c in zip(self.matrix, self.offset)
         )
         return AffineMap(tuple(rows), off)
-
-
-def apply_affine(amap: AffineMap, x: Sequence) -> RatVector:
-    return amap.apply(x)

@@ -17,14 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    CoordinateOutOfRange,
-    EmptyGraph,
-    EmptyMatrix,
-    InputError,
-    NoEdges,
-    RowWeightNotThree,
-)
+from .errors import CoordinateOutOfRange, EmptyGraph, InputError, NoEdges
 from .hull import enumerate_vertices, is_face
 from .model import (
     DEFAULT_ENUMERATION_CAP,
@@ -34,11 +27,13 @@ from .model import (
     Graph,
     NPadjLayout,
     PolytopeCode,
+    constraint_rows,
     dcp,
     dimension,
     npadj,
     part,
     stable,
+    validate_code,
 )
 
 
@@ -67,28 +62,10 @@ class ReductionReport:
     face_is_supported: bool
     source_dim: int
     target_dim: int
-    source_code_len: int
-    target_code_len: int
 
     @property
     def ok(self) -> bool:
         return self.image_equals_face_slice and self.injective and self.face_is_supported
-
-
-def code_len(code: PolytopeCode) -> int:
-    """Symbol count of the canonical code encoding: matrix entries for
-    matrix families, vertex count plus two endpoints per edge for graphs."""
-    if isinstance(code.params, Graph):
-        return code.params.vertex_count + 2 * code.params.edge_count
-    return code.params.nrows * code.params.ncols
-
-
-def _require_three_ones(a: BinaryMatrix) -> None:
-    if a.nrows == 0:
-        raise EmptyMatrix()
-    for i in range(a.nrows):
-        if a.row_weight(i) != 3:
-            raise RowWeightNotThree(i)
 
 
 def stable_to_part(g: Graph) -> ReductionArtifact:
@@ -138,7 +115,7 @@ def stable_to_part(g: Graph) -> ReductionArtifact:
 def part_to_npadj(a: BinaryMatrix) -> ReductionArtifact:
     """Partition polytope onto the y1=0, y2=1, y3=1 slice of the
     adjacency family: z maps to (0,1,1 | z | 1-z | z)."""
-    _require_three_ones(a)
+    validate_code(npadj(a))
     n = a.ncols
     lay = NPadjLayout(n)
     map_rows = [[0] * n for _ in range(lay.dim)]
@@ -162,52 +139,36 @@ def part_to_npadj(a: BinaryMatrix) -> ReductionArtifact:
 def npadj_to_dcp(a: BinaryMatrix) -> ReductionArtifact:
     """Adjacency family onto the a=0, b=1 slice of a double-cover code.
 
-    The target matrix keeps every original weight-four row and replaces
-    each pair constraint x_j + xbar_j = 1 with the weight-four row
+    The target matrix is read off constraint_rows(npadj(a)) with every
+    support shifted past the two new pin coordinates a, b: the
+    weight-four rows (sum two) stay as they are, and each pair
+    constraint x_j + xbar_j = 1 becomes the weight-four row
     a + b + x_j + xbar_j (sum two), pinned by the two fixes.
     """
-    _require_three_ones(a)
-    n = a.ncols
-    lay = NPadjLayout(n)
-    target_dim = lay.dim + 2
-
-    def shifted(i: int) -> int:
-        return 2 + i
-
+    source = npadj(a)
+    d = dimension(source)
+    embedding = tuple(range(2, d + 2))
     b_rows = []
-    for j in range(n):
-        row = [0] * target_dim
-        row[0] = row[1] = 1
-        row[shifted(lay.x(j))] = 1
-        row[shifted(lay.xbar(j))] = 1
+    for support, lo, _ in constraint_rows(source):
+        row = [0] * (d + 2)
+        if lo == 1:
+            row[0] = row[1] = 1
+        for i in support:
+            row[embedding[i]] = 1
         b_rows.append(tuple(row))
-        row = [0] * target_dim
-        row[shifted(lay.y1)] = 1
-        row[shifted(lay.y2)] = 1
-        row[shifted(lay.xprime(j))] = 1
-        row[shifted(lay.xbar(j))] = 1
-        b_rows.append(tuple(row))
-    for r in range(a.nrows):
-        i, j, k = a.row_support(r)
-        row = [0] * target_dim
-        row[shifted(lay.y3)] = 1
-        row[shifted(lay.x(i))] = 1
-        row[shifted(lay.xprime(j))] = 1
-        row[shifted(lay.xprime(k))] = 1
-        b_rows.append(tuple(row))
-    b = BinaryMatrix(tuple(b_rows), target_dim)
+    b = BinaryMatrix(tuple(b_rows), d + 2)
 
-    map_rows = [[0] * lay.dim for _ in range(target_dim)]
-    offset = [0] * target_dim
+    map_rows = [[0] * d for _ in range(d + 2)]
+    offset = [0] * (d + 2)
     offset[1] = 1
-    for i in range(lay.dim):
-        map_rows[shifted(i)][i] = 1
+    for i, target in enumerate(embedding):
+        map_rows[target][i] = 1
     return ReductionArtifact(
-        source=npadj(a),
+        source=source,
         target=dcp(b),
         amap=AffineMap.from_int_rows(map_rows, offset),
         face_fixes=((0, 0), (1, 1)),
-        coord_embedding=tuple(shifted(i) for i in range(lay.dim)),
+        coord_embedding=embedding,
     )
 
 
@@ -293,6 +254,4 @@ def verify_reduction(
         face_is_supported=supported,
         source_dim=dimension(artifact.source),
         target_dim=dimension(artifact.target),
-        source_code_len=code_len(artifact.source),
-        target_code_len=code_len(artifact.target),
     )

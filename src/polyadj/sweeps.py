@@ -5,12 +5,17 @@ instance family and reports failures instead of raising, so a driver
 run always completes and the caller decides what a failure means.
 Randomized sweeps take explicit seeds; given the same arguments they
 revisit exactly the same instances.
+
+``python -m polyadj.sweeps NAME`` runs one of them (matsui, chain,
+hull, pairs, face) at the sizes the acceptance suite uses.
 """
 
 from __future__ import annotations
 
+import argparse
 import random
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
@@ -18,6 +23,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import PolytopeError
 from .generators import (
     all_graphs,
+    infeasible_four_by_four,
     odd_index_subsets,
     random_graph,
     random_vertex_set,
@@ -464,3 +470,48 @@ def run_face_corollary_sweep(
                             )
             _tick(progress, f"{result.graphs} graphs, {result.subsets} subsets")
     return result
+
+
+# ---- command line ------------------------------------------------------------
+
+_SWEEPS: dict[str, Callable[[Progress], dict[str, object]]] = {
+    "matsui": lambda tick: {
+        "matsui": run_matsui_sweep(
+            matsui_instance_family() + [infeasible_four_by_four()], progress=tick
+        )
+    },
+    "chain": lambda tick: {"chain": run_chain_sweep(progress=tick)},
+    "hull": lambda tick: {
+        "membership": run_hull_crosscheck(progress=tick),
+        "segment": run_adjacency_crosscheck(progress=tick),
+        "midpoint": run_family_midpoint_sweep(progress=tick),
+    },
+    "pairs": lambda tick: {"pairs": run_pair_extension_sweep(progress=tick)},
+    "face": lambda tick: {"face": run_face_corollary_sweep(progress=tick)},
+}
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """Run one sweep at the acceptance sizes: progress on stderr, the
+    result fields on stdout, exit 0 iff every property held."""
+    parser = argparse.ArgumentParser(prog="python -m polyadj.sweeps", description=main.__doc__)
+    parser.add_argument("name", choices=tuple(_SWEEPS))
+    args = parser.parse_args(argv)
+    results = _SWEEPS[args.name](lambda msg: print(msg, file=sys.stderr, end="\r"))
+    print(file=sys.stderr)
+    ok = True
+    for label, result in results.items():
+        for f in fields(result):
+            value = getattr(result, f.name)
+            if isinstance(value, list):
+                print(f"{label}.{f.name}: {len(value)}")
+                for item in value:
+                    print(f"  {item}")
+            else:
+                print(f"{label}.{f.name}: {value}")
+        ok = ok and getattr(result, "all_hold", getattr(result, "all_agree", False))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -59,10 +59,6 @@ from .model import (
 Pair = tuple[Bits, Bits]
 
 
-def symmetric_difference(x: Iterable[int], y: Iterable[int]) -> frozenset[int]:
-    return frozenset(x) ^ frozenset(y)
-
-
 @cache
 def _half(v: int) -> Fraction:
     # built on first use, not at import: Fractions made during import

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from polyadj.errors import (
     DimensionCapExceeded,
     EqualVertices,
+    InputError,
     InvalidCertificate,
     NotASubset,
     VertexNotInSet,
 )
 from polyadj.generators import random_vertex_set
 from polyadj.hull import (
+    MAX_SEARCH_DEPTH,
     HullCertificate,
     _pruned_search,
     are_adjacent,
@@ -26,6 +28,7 @@ from polyadj.hull import (
     is_face,
     verify_face_certificate,
     verify_hull_certificate,
+    vertex_words,
 )
 from polyadj.model import (
     BinaryMatrix,
@@ -70,6 +73,21 @@ def test_enumeration_at_zero_and_cap_dimension():
     ]
     with pytest.raises(DimensionCapExceeded):
         enumerate_vertices(stable(Graph(25, ())))
+
+
+def _path_partition(n):
+    # row i has ones at columns i and i+1: two vertices, alternating
+    rows = tuple(tuple(int(j in (i, i + 1)) for j in range(n)) for i in range(n - 1))
+    return part(BinaryMatrix(rows, n))
+
+
+def test_enumeration_depth_limit_ignores_max_dim():
+    assert len(vertex_words(_path_partition(MAX_SEARCH_DEPTH), max_dim=2000)) == 2
+    # the recursive search would exceed the interpreter's recursion limit
+    with pytest.raises(InputError, match=f"dimension 1100 exceeds {MAX_SEARCH_DEPTH}") as err:
+        vertex_words(_path_partition(1100), max_dim=2000)
+    assert not isinstance(err.value, DimensionCapExceeded)
+    assert "max_dim" not in str(err.value)
 
 
 def test_pruned_search_leaves_no_cyclic_garbage():

@@ -1,6 +1,6 @@
 import pytest
 
-from polyadj.errors import NPadjRowWeight
+from polyadj.errors import WrongRowWeight
 from polyadj.generators import infeasible_four_by_four, three_ones_matrices
 from polyadj.hull import enumerate_vertices
 from polyadj.matsui import face_decomposition, matsui_check, special_vertices
@@ -77,5 +77,5 @@ def test_vertex_count_formula_across_family():
 
 
 def test_rejects_wrong_row_weight():
-    with pytest.raises(NPadjRowWeight):
+    with pytest.raises(WrongRowWeight):
         matsui_check(BinaryMatrix.from_rows([[1, 1, 0, 0]]))

@@ -1,6 +1,7 @@
 import dataclasses
 
 import pytest
+import reduction_reference
 
 from polyadj.errors import (
     CoordinateOutOfRange,
@@ -8,8 +9,9 @@ from polyadj.errors import (
     EmptyMatrix,
     InputError,
     NoEdges,
-    RowWeightNotThree,
+    WrongRowWeight,
 )
+from polyadj.generators import infeasible_four_by_four
 from polyadj.hull import enumerate_vertices
 from polyadj.model import AffineMap, BinaryMatrix, Graph
 from polyadj.reductions import (
@@ -21,6 +23,7 @@ from polyadj.reductions import (
     stable_to_part,
     verify_reduction,
 )
+from polyadj.sweeps import matsui_instance_family
 
 EDGE = Graph.from_edges(2, [(0, 1)])
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -70,6 +73,18 @@ def test_npadj_to_dcp_shape_and_weights():
     assert art.face_fixes == ((0, 0), (1, 1))
 
 
+def test_npadj_to_dcp_matches_hand_written_layout():
+    matrices = matsui_instance_family() + [infeasible_four_by_four()]
+    assert len(matrices) == 1074
+    for a in matrices:
+        derived = npadj_to_dcp(a)
+        reference = reduction_reference.npadj_to_dcp(a)
+        assert derived.target == reference.target
+        assert derived.amap == reference.amap
+        assert derived.face_fixes == reference.face_fixes
+        assert derived.coord_embedding == reference.coord_embedding
+
+
 def test_chain_on_single_edge():
     arts = reduction_chain(EDGE)
     b = arts.composed.target.params
@@ -96,12 +111,14 @@ def test_input_errors():
         stable_to_part(Graph.from_edges(3, []))
     with pytest.raises(EmptyGraph):
         stable_to_part(Graph.from_edges(0, []))
-    with pytest.raises(RowWeightNotThree):
+    with pytest.raises(WrongRowWeight, match="exactly three ones"):
         part_to_npadj(BinaryMatrix.from_rows([[1, 1, 0]]))
-    with pytest.raises(RowWeightNotThree):
+    with pytest.raises(WrongRowWeight, match="exactly three ones"):
         npadj_to_dcp(BinaryMatrix.from_rows([[1, 1, 1, 1]]))
     with pytest.raises(EmptyMatrix):
         part_to_npadj(BinaryMatrix((), 3))
+    with pytest.raises(EmptyMatrix):
+        npadj_to_dcp(BinaryMatrix((), 3))
 
 
 def test_compose_requires_matching_codes():

@@ -4,6 +4,7 @@ The acceptance suite runs these at full size; here each driver gets a
 reduced workload so regressions surface quickly.
 """
 
+from polyadj import sweeps
 from polyadj.generators import three_ones_matrices
 from polyadj.sweeps import (
     family_vertex_sets,
@@ -81,3 +82,16 @@ def test_face_corollary_sweep_tiny():
     assert report.graphs == 10
     assert report.subsets > 0
     assert report.all_hold
+
+
+def test_entry_point_runs_one_sweep(capsys):
+    assert sweeps.main(["chain"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines() == ["chain.graphs: 71", "chain.checks: 284", "chain.failures: 0"]
+
+
+def test_entry_point_exits_one_on_failure(monkeypatch, capsys):
+    failed = sweeps.ChainSweepResult(graphs=1, checks=4, failures=["npadj-dcp failed on G"])
+    monkeypatch.setitem(sweeps._SWEEPS, "chain", lambda tick: {"chain": failed})
+    assert sweeps.main(["chain"]) == 1
+    assert "chain.failures: 1\n  npadj-dcp failed on G\n" in capsys.readouterr().out

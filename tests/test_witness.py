@@ -25,7 +25,6 @@ from polyadj.witness import (
     find_t,
     pair_extension_oracle,
     refute_face,
-    symmetric_difference,
 )
 
 CUBE = Graph.from_edges(3, [])
@@ -34,23 +33,6 @@ CUBE_PAIRS = [
     ((1, 1, 0), (0, 0, 1)),
     ((1, 0, 1), (0, 1, 0)),
 ]
-
-
-def test_symmetric_difference_examples():
-    assert symmetric_difference({1, 2, 3}, {1, 2}) == {3}
-    assert symmetric_difference({1, 2}, {1, 2}) == frozenset()
-    chained = symmetric_difference(symmetric_difference({1, 2, 3}, {1, 2}), {1, 3})
-    assert chained == {1}
-
-
-@given(
-    st.frozensets(st.integers(min_value=0, max_value=7), max_size=6),
-    st.frozensets(st.integers(min_value=0, max_value=7), max_size=6),
-)
-def test_symmetric_difference_inverts(x, y):
-    z = symmetric_difference(x, y)
-    assert symmetric_difference(x, z) == y
-    assert (z == frozenset()) == (x == y)
 
 
 def test_cube_family_structure():
