@@ -82,11 +82,6 @@ class EmptyVertexList(InputError):
         super().__init__("vertex list must not be empty")
 
 
-class InvalidCertificate(InputError):
-    def __init__(self, reason: str) -> None:
-        super().__init__(f"certificate does not verify: {reason}")
-
-
 class NotASubset(InputError):
     def __init__(self) -> None:
         super().__init__("face candidate is not a subset of the vertex list")
@@ -142,6 +137,11 @@ class FormatError(InputError):
 
 
 # ---- defects -------------------------------------------------------------
+
+
+class InvalidCertificate(Defect):
+    def __init__(self, reason: str) -> None:
+        super().__init__(f"certificate does not verify: {reason}")
 
 
 class InvariantViolation(Defect):

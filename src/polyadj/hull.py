@@ -40,11 +40,12 @@ from .model import (
     DEFAULT_ENUMERATION_CAP,
     Bits,
     PolytopeCode,
-    RatVector,
     bits_from_int,
     constraint_rows,
     dimension,
 )
+
+RatVector = tuple[Fraction, ...]
 
 
 # ---- vertex enumeration ----------------------------------------------------
@@ -335,7 +336,7 @@ def is_face(face: Iterable[Bits], vertices: Sequence[Bits]) -> FaceCertificate |
     face_list = [tuple(x) for x in face]
     face_set = set(face_list)
     if len(face_set) != len(face_list):
-        raise InvalidCertificate("face subset contains duplicates")
+        raise InputError("face subset contains duplicates")
     vert_list = [tuple(x) for x in vertices]
     vert_set = set(vert_list)
     if not face_set <= vert_set:

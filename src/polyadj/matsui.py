@@ -23,8 +23,9 @@ from .model import (
     DEFAULT_ENUMERATION_CAP,
     BinaryMatrix,
     Bits,
-    NPadjLayout,
     complement,
+    constraint_rows,
+    dimension,
     membership,
     npadj,
     part,
@@ -59,16 +60,21 @@ class MatsuiReport:
 
 
 def special_vertices(a: BinaryMatrix) -> tuple[Bits, Bits]:
-    """The unique vertex with y1 = y2 = 0 (zero primal block, all-ones
-    complement and shadow blocks) and its complement."""
-    lay = NPadjLayout(a.ncols)
-    x0 = [0] * lay.dim
-    for j in range(a.ncols):
-        x0[lay.xbar(j)] = 1
-        x0[lay.xprime(j)] = 1
+    """The unique vertex with y1 = y2 = 0 and its complement.
+
+    Read off constraint_rows(npadj(a)): with y1 = y2 = 0 each selector
+    row y1 + y2 + xp_j + xbar_j = 2 sets its other two coordinates to
+    one, and every remaining coordinate is zero (zero primal block,
+    all-ones complement and shadow blocks).
+    """
+    code = npadj(a)
+    x0 = [0] * dimension(code)
+    for support, _, _ in constraint_rows(code):
+        if support[0] == 0:  # a selector row, the only rows holding y1
+            for i in support[2:]:
+                x0[i] = 1
     x0_bits = tuple(x0)
     x0bar_bits = complement(x0_bits)
-    code = npadj(a)
     if not membership(code, x0_bits) or not membership(code, x0bar_bits):
         raise InvariantViolation("special vertices fell outside the adjacency polytope")
     return x0_bits, x0bar_bits

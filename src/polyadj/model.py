@@ -6,22 +6,23 @@ graph, the double-cover family (rows of weight four, row sums pinned to
 two), and the adjacency family built from a matrix with weight-three
 rows.  Every code determines an ambient dimension and a membership
 predicate over {0,1}^d; the polytope is the convex hull of the members,
-and each member is a vertex of that hull.
+and each member is a vertex of that hull.  A code checks its family's
+conditions when it is built, so every code in hand is valid.
 
-All arithmetic in this package is exact.  Rational values are
-fractions.Fraction throughout, which keeps every number in lowest terms
-with a positive denominator.
+All arithmetic in this package is exact.  The affine maps between
+families have integer coefficients and stay in ints; rational values
+elsewhere are fractions.Fraction, in lowest terms with a positive
+denominator.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 from .errors import (
-    CoordinateOutOfRange,
     DimensionMismatch,
     EmptyMatrix,
     InputError,
@@ -30,7 +31,6 @@ from .errors import (
 )
 
 Bits = tuple[int, ...]
-RatVector = tuple[Fraction, ...]
 
 DEFAULT_ENUMERATION_CAP = 24
 
@@ -95,13 +95,11 @@ class BinaryMatrix:
                     raise InputError(f"matrix entries must be 0/1, got {v}")
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]], ncols: int | None = None) -> "BinaryMatrix":
+    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "BinaryMatrix":
         tup = tuple(tuple(int(v) for v in row) for row in rows)
-        if ncols is None:
-            if not tup:
-                raise EmptyMatrix()
-            ncols = len(tup[0])
-        return cls(tup, ncols)
+        if not tup:
+            raise EmptyMatrix()
+        return cls(tup, len(tup[0]))
 
     @property
     def nrows(self) -> int:
@@ -158,6 +156,9 @@ class PolytopeCode:
     family: str
     params: CodeParams
 
+    def __post_init__(self) -> None:
+        validate_code(self)
+
 
 def cover(a: BinaryMatrix) -> PolytopeCode:
     return PolytopeCode("cover", a)
@@ -184,7 +185,8 @@ def npadj(a: BinaryMatrix) -> PolytopeCode:
 
 
 def validate_code(code: PolytopeCode) -> None:
-    """Raise on the first violated family invariant.
+    """Raise on the first violated family invariant; PolytopeCode runs
+    this when it is built, so no other code needs to.
 
     The double-cover family needs every row weight to be exactly four;
     the adjacency family needs a nonempty matrix of weight-three rows.
@@ -212,53 +214,11 @@ def validate_code(code: PolytopeCode) -> None:
 
 
 def dimension(code: PolytopeCode) -> int:
-    validate_code(code)
     if code.family == "stable":
-        assert isinstance(code.params, Graph)
         return code.params.vertex_count
-    assert isinstance(code.params, BinaryMatrix)
     if code.family == "npadj":
         return 3 * code.params.ncols + 3
     return code.params.ncols
-
-
-# ---- coordinate layout ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NPadjLayout:
-    """Coordinate layout of the adjacency family in dimension 3n + 3.
-
-    Order: the three selector coordinates y1 y2 y3, then the n primal
-    coordinates x_j, then their complements xbar_j, then the shadow
-    copies xp_j.
-    """
-
-    n: int
-
-    @property
-    def dim(self) -> int:
-        return 3 * self.n + 3
-
-    y1 = 0
-    y2 = 1
-    y3 = 2
-
-    def x(self, j: int) -> int:
-        self._check(j)
-        return 3 + j
-
-    def xbar(self, j: int) -> int:
-        self._check(j)
-        return 3 + self.n + j
-
-    def xprime(self, j: int) -> int:
-        self._check(j)
-        return 3 + 2 * self.n + j
-
-    def _check(self, j: int) -> None:
-        if not 0 <= j < self.n:
-            raise CoordinateOutOfRange(j, self.n)
 
 
 # ---- membership ----------------------------------------------------------
@@ -270,12 +230,15 @@ ConstraintRow = tuple[tuple[int, ...], int, int]
 
 @lru_cache(maxsize=4096)
 def constraint_rows(code: PolytopeCode) -> tuple[ConstraintRow, ...]:
-    """Compile a code into popcount-window constraints over its layout."""
-    validate_code(code)
+    """Compile a code into popcount-window constraints over its layout.
+
+    The adjacency family's layout, in dimension 3n + 3, is stated here
+    and nowhere else: the selector coordinates y1 y2 y3 at 0-2, the
+    primal coordinates x_j at 3 + j, their complements xbar_j at
+    3 + n + j and the shadow copies xp_j at 3 + 2n + j.
+    """
     if code.family == "stable":
-        assert isinstance(code.params, Graph)
         return tuple(((u, v), 0, 1) for u, v in code.params.edges)
-    assert isinstance(code.params, BinaryMatrix)
     a = code.params
     if code.family == "cover":
         return tuple((a.row_support(i), 1, a.row_weight(i)) for i in range(a.nrows))
@@ -285,18 +248,19 @@ def constraint_rows(code: PolytopeCode) -> tuple[ConstraintRow, ...]:
         return tuple((a.row_support(i), 1, 1) for i in range(a.nrows))
     if code.family == "dcp":
         return tuple((a.row_support(i), 2, 2) for i in range(a.nrows))
-    # adjacency family: per column j, the pair x_j + xbar_j = 1 and the
-    # selector row y1 + y2 + xp_j + xbar_j = 2; per matrix row with
+    # adjacency family: per column j, the pair row x_j + xbar_j = 1 and
+    # the selector row y1 + y2 + xp_j + xbar_j = 2; per matrix row with
     # support {i < j < k}, the row y3 + x_i + xp_j + xp_k = 2 (the
     # smallest index takes the primal role).
-    lay = NPadjLayout(a.ncols)
+    n = a.ncols
+    x, xbar, xp = 3, 3 + n, 3 + 2 * n
     rows: list[ConstraintRow] = []
-    for j in range(a.ncols):
-        rows.append(((lay.x(j), lay.xbar(j)), 1, 1))
-        rows.append(((lay.y1, lay.y2, lay.xprime(j), lay.xbar(j)), 2, 2))
+    for j in range(n):
+        rows.append(((x + j, xbar + j), 1, 1))
+        rows.append(((0, 1, xp + j, xbar + j), 2, 2))
     for r in range(a.nrows):
         i, j, k = a.row_support(r)
-        rows.append(((lay.y3, lay.x(i), lay.xprime(j), lay.xprime(k)), 2, 2))
+        rows.append(((2, x + i, xp + j, xp + k), 2, 2))
     return tuple(rows)
 
 
@@ -329,24 +293,24 @@ def membership(code: PolytopeCode, x: Sequence[int]) -> bool:
 
 @dataclass(frozen=True)
 class AffineMap:
-    """An exact affine map x -> T x + c over the rationals."""
+    """An exact affine map x -> T x + c with integer coefficients.
 
-    matrix: tuple[RatVector, ...]
-    offset: RatVector
+    The rows of T and the offset c may be given as any iterables of
+    ints; they are kept as tuples.
+    """
+
+    matrix: tuple[tuple[int, ...], ...]
+    offset: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.matrix) != len(self.offset):
-            raise DimensionMismatch(len(self.matrix), len(self.offset))
-        widths = {len(row) for row in self.matrix}
-        if len(widths) > 1:
+        matrix = tuple(tuple(map(operator.index, row)) for row in self.matrix)
+        offset = tuple(map(operator.index, self.offset))
+        if len(matrix) != len(offset):
+            raise DimensionMismatch(len(matrix), len(offset))
+        if len({len(row) for row in matrix}) > 1:
             raise InputError("ragged affine map matrix")
-
-    @classmethod
-    def from_int_rows(cls, rows: Iterable[Iterable[int]], offset: Iterable[int]) -> "AffineMap":
-        return cls(
-            tuple(tuple(Fraction(v) for v in row) for row in rows),
-            tuple(Fraction(v) for v in offset),
-        )
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "offset", offset)
 
     @property
     def source_dim(self) -> int:
@@ -356,7 +320,7 @@ class AffineMap:
     def target_dim(self) -> int:
         return len(self.matrix)
 
-    def apply(self, x: Sequence) -> RatVector:
+    def apply(self, x: Sequence[int]) -> tuple[int, ...]:
         if len(x) != self.source_dim:
             raise DimensionMismatch(self.source_dim, len(x))
         out = []
@@ -372,33 +336,29 @@ class AffineMap:
         """Apply and demand a 0/1 image.
 
         Reduction maps built by this package send 0/1 vertices to 0/1
-        vertices; a non-integral image means the map is broken.
+        vertices; any other image means the map is broken.
         """
         image = self.apply(x)
-        bits = []
         for v in image:
-            if v == 0:
-                bits.append(0)
-            elif v == 1:
-                bits.append(1)
-            else:
+            if v != 0 and v != 1:
                 raise InvariantViolation(f"affine image is not 0/1: coordinate value {v}")
-        return tuple(bits)
+        return image
 
     def compose(self, inner: "AffineMap") -> "AffineMap":
-        """The map x -> self(inner(x))."""
+        """The map x -> self(inner(x)), summing over the nonzero
+        coefficients only."""
         if inner.target_dim != self.source_dim:
             raise DimensionMismatch(self.source_dim, inner.target_dim)
+        inner_rows = [[(j, t) for j, t in enumerate(row) if t] for row in inner.matrix]
         rows = []
-        for row in self.matrix:
-            rows.append(
-                tuple(
-                    sum((row[k] * inner.matrix[k][j] for k in range(self.source_dim)), Fraction(0))
-                    for j in range(inner.source_dim)
-                )
-            )
-        off = tuple(
-            sum((row[k] * inner.offset[k] for k in range(self.source_dim)), c)
-            for row, c in zip(self.matrix, self.offset)
-        )
-        return AffineMap(tuple(rows), off)
+        offset = []
+        for row, c in zip(self.matrix, self.offset):
+            acc = [0] * inner.source_dim
+            for k, t in enumerate(row):
+                if t:
+                    c += t * inner.offset[k]
+                    for j, s in inner_rows[k]:
+                        acc[j] += t * s
+            rows.append(acc)
+            offset.append(c)
+        return AffineMap(rows, offset)

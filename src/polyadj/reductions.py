@@ -25,7 +25,6 @@ from .model import (
     BinaryMatrix,
     Bits,
     Graph,
-    NPadjLayout,
     PolytopeCode,
     constraint_rows,
     dcp,
@@ -33,7 +32,6 @@ from .model import (
     npadj,
     part,
     stable,
-    validate_code,
 )
 
 
@@ -81,32 +79,19 @@ def stable_to_part(g: Graph) -> ReductionArtifact:
     if g.edge_count == 0:
         raise NoEdges()
     nv, ne = g.vertex_count, g.edge_count
-    n = nv + ne
     rows = []
+    map_rows = [[int(i == j) for j in range(nv)] for i in range(nv)]
     for e, (u, v) in enumerate(g.edges):
-        row = [0] * n
-        row[u] = row[v] = 1
-        row[nv + e] = 1
+        row = [0] * (nv + ne)
+        row[u] = row[v] = row[nv + e] = 1
         rows.append(tuple(row))
-    a = BinaryMatrix(tuple(rows), n)
-
-    map_rows = []
-    offset = []
-    for i in range(nv):
-        row = [0] * nv
-        row[i] = 1
-        map_rows.append(row)
-        offset.append(0)
-    for u, v in g.edges:
-        row = [0] * nv
-        row[u] = -1
-        row[v] = -1
-        map_rows.append(row)
-        offset.append(1)
+        slack = [0] * nv
+        slack[u] = slack[v] = -1
+        map_rows.append(slack)
     return ReductionArtifact(
         source=stable(g),
-        target=part(a),
-        amap=AffineMap.from_int_rows(map_rows, offset),
+        target=part(BinaryMatrix(tuple(rows), nv + ne)),
+        amap=AffineMap(map_rows, [0] * nv + [1] * ne),
         face_fixes=(),
         coord_embedding=tuple(range(nv)),
     )
@@ -114,25 +99,33 @@ def stable_to_part(g: Graph) -> ReductionArtifact:
 
 def part_to_npadj(a: BinaryMatrix) -> ReductionArtifact:
     """Partition polytope onto the y1=0, y2=1, y3=1 slice of the
-    adjacency family: z maps to (0,1,1 | z | 1-z | z)."""
-    validate_code(npadj(a))
+    adjacency family: z maps to (0,1,1 | z | 1-z | z).
+
+    The coordinates are read off constraint_rows(npadj(a)): x_j and
+    xbar_j from the pair rows x_j + xbar_j = 1, xp_j from the selector
+    rows y1 + y2 + xp_j + xbar_j = 2, both in column order.
+    """
+    target = npadj(a)
+    d = dimension(target)
+    rows = constraint_rows(target)
+    pairs = [support for support, lo, _ in rows if lo == 1]
+    # the selector rows are the only rows holding y1
+    shadows = [support[2] for support, _, _ in rows if support[0] == 0]
     n = a.ncols
-    lay = NPadjLayout(n)
-    map_rows = [[0] * n for _ in range(lay.dim)]
-    offset = [0] * lay.dim
-    offset[lay.y2] = 1
-    offset[lay.y3] = 1
-    for j in range(n):
-        map_rows[lay.x(j)][j] = 1
-        map_rows[lay.xbar(j)][j] = -1
-        offset[lay.xbar(j)] = 1
-        map_rows[lay.xprime(j)][j] = 1
+    map_rows = [[0] * n for _ in range(d)]
+    offset = [0] * d
+    offset[1] = offset[2] = 1  # y2 = y3 = 1
+    for j, ((x, xbar), xp) in enumerate(zip(pairs, shadows)):
+        map_rows[x][j] = 1
+        map_rows[xbar][j] = -1
+        offset[xbar] = 1
+        map_rows[xp][j] = 1
     return ReductionArtifact(
         source=part(a),
-        target=npadj(a),
-        amap=AffineMap.from_int_rows(map_rows, offset),
-        face_fixes=((lay.y1, 0), (lay.y2, 1), (lay.y3, 1)),
-        coord_embedding=tuple(lay.x(j) for j in range(n)),
+        target=target,
+        amap=AffineMap(map_rows, offset),
+        face_fixes=((0, 0), (1, 1), (2, 1)),
+        coord_embedding=tuple(x for x, _ in pairs),
     )
 
 
@@ -159,14 +152,12 @@ def npadj_to_dcp(a: BinaryMatrix) -> ReductionArtifact:
     b = BinaryMatrix(tuple(b_rows), d + 2)
 
     map_rows = [[0] * d for _ in range(d + 2)]
-    offset = [0] * (d + 2)
-    offset[1] = 1
     for i, target in enumerate(embedding):
         map_rows[target][i] = 1
     return ReductionArtifact(
         source=source,
         target=dcp(b),
-        amap=AffineMap.from_int_rows(map_rows, offset),
+        amap=AffineMap(map_rows, [0, 1] + [0] * d),  # a = 0, b = 1
         face_fixes=((0, 0), (1, 1)),
         coord_embedding=embedding,
     )
@@ -206,7 +197,6 @@ def reduction_chain(g: Graph) -> ChainArtifacts:
     """The full pipeline stable -> part -> npadj -> dcp plus its
     composition into a single artifact."""
     s2p = stable_to_part(g)
-    assert isinstance(s2p.target.params, BinaryMatrix)
     a = s2p.target.params
     p2n = part_to_npadj(a)
     n2d = npadj_to_dcp(a)

@@ -3,8 +3,9 @@
 Each sweep replays one of the package's guaranteed properties across an
 instance family and reports failures instead of raising, so a driver
 run always completes and the caller decides what a failure means.
-Randomized sweeps take explicit seeds; given the same arguments they
-revisit exactly the same instances.
+Randomized sweeps draw from fixed seeds, or from the seed passed in
+where a caller varies it; given the same arguments they revisit exactly
+the same instances.
 
 ``python -m polyadj.sweeps NAME`` runs one of them (matsui, chain,
 hull, pairs, face) at the sizes the acceptance suite uses.
@@ -65,14 +66,12 @@ class MatsuiSweepResult:
         return self.instances > 0 and not self.failures
 
 
-def matsui_instance_family(
-    widths: Sequence[int] = (3, 4, 5), row_counts: Sequence[int] = (1, 2, 3, 4)
-) -> list[BinaryMatrix]:
+def matsui_instance_family() -> list[BinaryMatrix]:
     """The deduplicated sweep family: every row multiset of weight-three
-    rows for each width and row count."""
+    rows for widths 3 to 5 and 1 to 4 rows."""
     out: list[BinaryMatrix] = []
-    for n in widths:
-        for m in row_counts:
+    for n in (3, 4, 5):
+        for m in (1, 2, 3, 4):
             out.extend(three_ones_matrices(n, m))
     return out
 
@@ -80,12 +79,13 @@ def matsui_instance_family(
 def run_matsui_sweep(
     matrices: Iterable[BinaryMatrix],
     *,
-    max_dim: int = 24,
     progress: Progress | None = None,
 ) -> MatsuiSweepResult:
+    """Check the adjacency criterion on every matrix, at the default
+    enumeration cap."""
     result = MatsuiSweepResult()
     for a in matrices:
-        report = matsui_check(a, max_dim=max_dim)
+        report = matsui_check(a)
         result.instances += 1
         if report.part_empty:
             result.part_empty_instances += 1
@@ -113,12 +113,13 @@ class ChainSweepResult:
 def run_chain_sweep(
     vertex_counts: Sequence[int] = (2, 3, 4),
     *,
-    max_dim: int = 40,
     progress: Progress | None = None,
 ) -> ChainSweepResult:
     """Verify every stage and the full composition of the reduction
     chain on every graph with at least one edge, and audit the final
-    double-cover matrix shape and row weights."""
+    double-cover matrix shape and row weights.  Enumeration is capped
+    at dimension 40, above the 35 of a four-vertex complete graph's
+    double-cover code."""
     result = ChainSweepResult()
     for nv in vertex_counts:
         for g in all_graphs(nv, min_edges=1):
@@ -131,12 +132,11 @@ def run_chain_sweep(
                 ("composed", arts.composed),
             )
             for label, art in stages:
-                report = verify_reduction(art, max_dim=max_dim)
+                report = verify_reduction(art, max_dim=40)
                 result.checks += 1
                 if not report.ok:
                     result.failures.append(f"{label} failed on {g}")
             b = arts.to_dcp.target.params
-            assert isinstance(b, BinaryMatrix)
             n = nv + g.edge_count
             m = g.edge_count
             if (b.nrows, b.ncols) != (2 * n + m, 3 * n + 5):
@@ -259,44 +259,40 @@ def run_adjacency_crosscheck(
     return result
 
 
-def family_vertex_sets(
-    *, seed: int = 20260822, max_dim: int = 24
-) -> list[tuple[str, list[Bits]]]:
+def family_vertex_sets() -> list[tuple[str, list[Bits]]]:
     """At least a hundred vertex sets drawn from the polytope families:
-    every stable-set polytope on 3 and 4 vertices, seeded random graphs
-    on 5, all single-row double-cover codes of width 4 to 6, and the
-    single-row three-ones instances."""
-    rng = random.Random(seed)
+    every stable-set polytope on 3 and 4 vertices, ten random graphs on
+    5 (seed 20260822), all single-row double-cover codes of width 4 to
+    6, and the single-row three-ones instances."""
+    rng = random.Random(20260822)
     sets: list[tuple[str, list[Bits]]] = []
     for nv in (3, 4):
         for g in all_graphs(nv):
-            sets.append((f"stable{g}", enumerate_vertices(stable(g), max_dim=max_dim)))
+            sets.append((f"stable{g}", enumerate_vertices(stable(g))))
     for _ in range(10):
         g = random_graph(rng, 5)
-        sets.append((f"stable{g}", enumerate_vertices(stable(g), max_dim=max_dim)))
+        sets.append((f"stable{g}", enumerate_vertices(stable(g))))
     for width in (4, 5, 6):
         for sup in combinations(range(width), 4):
             row = tuple(1 if i in sup else 0 for i in range(width))
             code = dcp(BinaryMatrix.from_rows([row]))
-            sets.append((f"dcp{row}", enumerate_vertices(code, max_dim=max_dim)))
+            sets.append((f"dcp{row}", enumerate_vertices(code)))
     for width in (3, 4):
         for sup in combinations(range(width), 3):
             row = tuple(1 if i in sup else 0 for i in range(width))
             code = npadj(BinaryMatrix.from_rows([row]))
-            sets.append((f"npadj{row}", enumerate_vertices(code, max_dim=max_dim)))
+            sets.append((f"npadj{row}", enumerate_vertices(code)))
     return sets
 
 
 def run_family_midpoint_sweep(
-    *,
-    seed: int = 20260822,
-    progress: Progress | None = None,
+    *, progress: Progress | None = None
 ) -> AdjacencyCrosscheckResult:
     """Compare the face-based adjacency decision against the literal
     midpoint criterion on every vertex pair of family-built polytopes,
     where the two are equivalent."""
     result = AdjacencyCrosscheckResult()
-    for label, vertices in family_vertex_sets(seed=seed):
+    for label, vertices in family_vertex_sets():
         result.vertex_sets += 1
         for u, v in combinations(vertices, 2):
             verdict = are_adjacent(vertices, u, v)
@@ -350,22 +346,21 @@ def run_pair_extension_sweep(
     *,
     sampled_sizes: Sequence[int] = (7, 8),
     samples_per_size: int = 5000,
-    seed: int = 20260821,
     triple_budget: int = 12,
-    random_family_draws: int = 6,
     progress: Progress | None = None,
 ) -> PairSweepResult:
     """Refute every sampled odd-size family of equal-sum stable pairs.
 
     Graphs up to the exhaustive bound are enumerated completely; the
-    sampled sizes get seeded random graphs.  For each realized sum with
-    at least three pairs, odd-size families are drawn (all triples up to
-    a budget, the largest odd prefix, and random odd subsets) and
+    sampled sizes get random graphs (seed 20260821).  For each realized
+    sum with at least three pairs, odd-size families are drawn (all
+    triples up to a budget, the largest odd prefix, and six random odd
+    subsets) and
     refute_face must deliver a valid witness for each: in the polytope,
     on the right sum, absent from the inputs, present in the oracle's
     pair list.
     """
-    rng = random.Random(seed)
+    rng = random.Random(20260821)
     result = PairSweepResult()
 
     def visit(g: Graph) -> None:
@@ -390,7 +385,7 @@ def run_pair_extension_sweep(
                 rng,
                 len(pair_list),
                 exhaustive_triples=triple_budget,
-                random_draws=random_family_draws,
+                random_draws=6,
             ):
                 family = [pair_list[i] for i in subset]
                 result.families += 1
@@ -438,17 +433,16 @@ class FaceCorollaryResult:
 def run_face_corollary_sweep(
     vertex_counts: Sequence[int] = (2, 3, 4, 5, 6),
     *,
-    stable_cap: int = 12,
     progress: Progress | None = None,
 ) -> FaceCorollaryResult:
     """Exhaustively confirm that no odd-size collection of three or more
     distinct equal-sum pairs is the vertex set of a face, over all
-    graphs whose stable-set polytope has at most stable_cap vertices."""
+    graphs whose stable-set polytope has at most twelve vertices."""
     result = FaceCorollaryResult()
     for nv in vertex_counts:
         for g in all_graphs(nv):
             words = vertex_words(stable(g))
-            if len(words) > stable_cap:
+            if len(words) > 12:
                 continue
             result.graphs += 1
             vertices = [bits_from_int(w, nv) for w in words]

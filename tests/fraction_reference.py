@@ -2,11 +2,16 @@
 
 These are the dense Fraction tableau simplex and the Fraction
 Gauss-Jordan elimination that the fraction-free integer engines in
-``polyadj.simplex`` and ``polyadj.linalg`` replaced.  The integer
-engines must return the identical values on every input.
+``polyadj.simplex`` and ``polyadj.linalg`` replaced, and the dense
+Fraction affine map that ``polyadj.model.AffineMap`` replaced with
+integer coefficients.  The replacements must return the identical
+values on every input.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+
+from polyadj.errors import DimensionMismatch, InputError, InvariantViolation
 
 _ONE = Fraction(1)
 
@@ -124,3 +129,74 @@ def kernel_vector(matrix):
     for r, c in enumerate(pivot_cols):
         z[c] = -rows[r][free]
     return z
+
+
+@dataclass(frozen=True)
+class AffineMap:
+    """An exact affine map x -> T x + c over the rationals."""
+
+    matrix: tuple
+    offset: tuple
+
+    def __post_init__(self):
+        if len(self.matrix) != len(self.offset):
+            raise DimensionMismatch(len(self.matrix), len(self.offset))
+        widths = {len(row) for row in self.matrix}
+        if len(widths) > 1:
+            raise InputError("ragged affine map matrix")
+
+    @classmethod
+    def from_int_rows(cls, rows, offset):
+        return cls(
+            tuple(tuple(Fraction(v) for v in row) for row in rows),
+            tuple(Fraction(v) for v in offset),
+        )
+
+    @property
+    def source_dim(self):
+        return len(self.matrix[0]) if self.matrix else 0
+
+    @property
+    def target_dim(self):
+        return len(self.matrix)
+
+    def apply(self, x):
+        if len(x) != self.source_dim:
+            raise DimensionMismatch(self.source_dim, len(x))
+        out = []
+        for row, c in zip(self.matrix, self.offset):
+            acc = c
+            for t, v in zip(row, x):
+                if t and v:
+                    acc += t * v
+            out.append(acc)
+        return tuple(out)
+
+    def apply_bits(self, x):
+        image = self.apply(x)
+        bits = []
+        for v in image:
+            if v == 0:
+                bits.append(0)
+            elif v == 1:
+                bits.append(1)
+            else:
+                raise InvariantViolation(f"affine image is not 0/1: coordinate value {v}")
+        return tuple(bits)
+
+    def compose(self, inner):
+        if inner.target_dim != self.source_dim:
+            raise DimensionMismatch(self.source_dim, inner.target_dim)
+        rows = []
+        for row in self.matrix:
+            rows.append(
+                tuple(
+                    sum((row[k] * inner.matrix[k][j] for k in range(self.source_dim)), Fraction(0))
+                    for j in range(inner.source_dim)
+                )
+            )
+        off = tuple(
+            sum((row[k] * inner.offset[k] for k in range(self.source_dim)), c)
+            for row, c in zip(self.matrix, self.offset)
+        )
+        return AffineMap(tuple(rows), off)

@@ -38,7 +38,7 @@ def report(name, ok, detail):
 
 def test_criterion_1_matsui_equivalence_sweep():
     matrices = matsui_instance_family() + [infeasible_four_by_four()]
-    result = run_matsui_sweep(matrices, max_dim=24)
+    result = run_matsui_sweep(matrices)
     ok = (
         result.instances >= 500
         and result.all_hold
@@ -54,7 +54,7 @@ def test_criterion_1_matsui_equivalence_sweep():
 
 
 def test_criterion_2_reduction_chain():
-    result = run_chain_sweep((2, 3, 4), max_dim=40)
+    result = run_chain_sweep((2, 3, 4))
     ok = result.graphs == 71 and result.all_hold
     report(
         "reduction-chain",

@@ -5,6 +5,7 @@ rendered payload, since downstream tooling scrapes this output.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -219,6 +220,25 @@ def test_face_check_true_and_false(workdir, capsys):
     )
     assert rc == 0
     assert out.endswith("face: false\n")
+
+
+def test_face_check_repeated_vertex_is_input_error(workdir, capsys):
+    subset = workdir / "twice.verts"
+    subset.write_text("0011\n0011\n")
+    rc, out = run(capsys, "face-check", "dcp", str(workdir / "octa.mat"), str(subset))
+    assert rc == 2
+    assert out == "status: input-error\nerror: face subset contains duplicates\n"
+
+
+def test_certificate_that_fails_its_recheck_is_a_defect(workdir, capsys, monkeypatch):
+    # a wrong LP answer must surface as a defect (exit 1), not as bad input
+    def wrong_point(matrix, rhs):
+        return [Fraction(0)] * len(matrix[0])
+
+    monkeypatch.setattr("polyadj.hull.simplex.feasible_point", wrong_point)
+    rc, out = run(capsys, "adjacent", "dcp", str(workdir / "octa.mat"), "0011", "1100")
+    assert rc == 1
+    assert out.startswith("status: property-failed\nerror: certificate does not verify: ")
 
 
 def test_refute_face_input_errors(workdir, capsys):

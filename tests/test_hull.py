@@ -186,7 +186,7 @@ def test_is_face_rejects_non_subset():
 
 def test_is_face_rejects_duplicates():
     verts = enumerate_vertices(OCTA)
-    with pytest.raises(InvalidCertificate):
+    with pytest.raises(InputError, match="^face subset contains duplicates$"):
         is_face([verts[0], verts[0]], verts)
 
 

@@ -1,10 +1,12 @@
 import pytest
+import reduction_reference
 
 from polyadj.errors import WrongRowWeight
 from polyadj.generators import infeasible_four_by_four, three_ones_matrices
 from polyadj.hull import enumerate_vertices
 from polyadj.matsui import face_decomposition, matsui_check, special_vertices
 from polyadj.model import BinaryMatrix, complement, membership, npadj, part
+from polyadj.sweeps import matsui_instance_family
 
 
 def test_special_vertices_layout():
@@ -14,6 +16,15 @@ def test_special_vertices_layout():
     assert x0bar == complement(x0)
     assert membership(npadj(a), x0)
     assert membership(npadj(a), x0bar)
+
+
+def test_special_vertices_match_hand_written_x0():
+    matrices = matsui_instance_family() + [infeasible_four_by_four()]
+    assert len(matrices) == 1074
+    for a in matrices:
+        x0, x0bar = special_vertices(a)
+        assert x0 == reduction_reference.special_x0(a)
+        assert x0bar == complement(x0)
 
 
 def test_single_row_instance():

@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import fraction_reference
 import pytest
 import witness_reference
 from hypothesis import given
 from hypothesis import strategies as st
 
+import polyadj
 from polyadj.errors import (
     DimensionMismatch,
     EmptyMatrix,
@@ -14,6 +22,7 @@ from polyadj.model import (
     AffineMap,
     BinaryMatrix,
     Graph,
+    PolytopeCode,
     bits_from_int,
     bits_to_int,
     complement,
@@ -142,17 +151,109 @@ def test_membership_stable():
 
 
 def test_affine_identity_and_compose():
-    ident = AffineMap.from_int_rows([(1, 0, 0), (0, 1, 0), (0, 0, 1)], (0, 0, 0))
+    ident = AffineMap([(1, 0, 0), (0, 1, 0), (0, 0, 1)], (0, 0, 0))
     assert ident.apply_bits((1, 0, 1)) == (1, 0, 1)
-    shift = AffineMap.from_int_rows([(-1, 0, 0), (0, 1, 0), (0, 0, 1)], (1, 0, 0))
+    shift = AffineMap([(-1, 0, 0), (0, 1, 0), (0, 0, 1)], (1, 0, 0))
     composed = shift.compose(ident)
     assert composed.apply_bits((1, 0, 1)) == (0, 0, 1)
     assert composed.source_dim == 3 and composed.target_dim == 3
 
 
 def test_affine_rejects_non_binary_image():
-    doubler = AffineMap.from_int_rows([(2, 0), (0, 1)], (0, 0))
+    doubler = AffineMap([(2, 0), (0, 1)], (0, 0))
     with pytest.raises(InvariantViolation):
         doubler.apply_bits((1, 0))
     # apply itself is exact and unrestricted.
     assert doubler.apply((1, 0)) == (2, 0)
+
+
+@st.composite
+def composable_maps(draw):
+    """An inner map of random integer rows and an outer map that takes
+    its image, mostly 0/1 coefficients as the reductions use, plus a
+    0/1 point for the inner map."""
+    coeff = st.sampled_from([0, 0, 0, 1, 1, -1, 2])
+    s, m, t = (draw(st.integers(min_value=lo, max_value=5)) for lo in (0, 1, 1))
+    inner = (
+        draw(st.lists(st.lists(coeff, min_size=s, max_size=s), min_size=m, max_size=m)),
+        draw(st.lists(coeff, min_size=m, max_size=m)),
+    )
+    outer = (
+        draw(st.lists(st.lists(coeff, min_size=m, max_size=m), min_size=t, max_size=t)),
+        draw(st.lists(coeff, min_size=t, max_size=t)),
+    )
+    x = tuple(draw(st.lists(st.integers(0, 1), min_size=s, max_size=s)))
+    return inner, outer, x
+
+
+def _apply_bits_or_error(amap, x):
+    try:
+        return amap.apply_bits(x)
+    except InvariantViolation as exc:
+        return str(exc)
+
+
+@given(composable_maps())
+def test_affine_map_matches_fraction_reference(case):
+    (inner_rows, inner_offset), (outer_rows, outer_offset), x = case
+    inner = AffineMap(inner_rows, inner_offset)
+    outer = AffineMap(outer_rows, outer_offset)
+    ref_inner = fraction_reference.AffineMap.from_int_rows(inner_rows, inner_offset)
+    ref_outer = fraction_reference.AffineMap.from_int_rows(outer_rows, outer_offset)
+    assert inner.apply(x) == ref_inner.apply(x)
+    assert _apply_bits_or_error(inner, x) == _apply_bits_or_error(ref_inner, x)
+    composed = outer.compose(inner)
+    ref_composed = ref_outer.compose(ref_inner)
+    assert composed.matrix == ref_composed.matrix
+    assert composed.offset == ref_composed.offset
+    assert [str(v) for v in composed.offset] == [str(v) for v in ref_composed.offset]
+    assert composed.apply(x) == outer.apply(inner.apply(x))
+
+
+def test_affine_map_keeps_integer_tuples():
+    amap = AffineMap([[1, 0], [-1, 1]], [0, 1])
+    assert amap.matrix == ((1, 0), (-1, 1)) and amap.offset == (0, 1)
+    with pytest.raises(TypeError):
+        AffineMap([[Fraction(1, 2)]], [0])
+    with pytest.raises(InputError, match="ragged"):
+        AffineMap([[1, 0], [1]], [0, 0])
+    with pytest.raises(DimensionMismatch):
+        AffineMap([[1]], [0, 0])
+
+
+def test_codes_are_validated_when_built():
+    with pytest.raises(WrongRowWeight):
+        npadj(BinaryMatrix.from_rows([[1, 1, 0]]))
+    with pytest.raises(InputError, match="unknown family"):
+        PolytopeCode("simplex", BinaryMatrix.from_rows([[1]]))
+    with pytest.raises(InputError, match="take a graph"):
+        PolytopeCode("stable", BinaryMatrix.from_rows([[1]]))
+
+
+_COUNT_FRACTIONS_AT_IMPORT = """
+import fractions
+made = 0
+new = fractions.Fraction.__new__
+def counting_new(cls, *args, **kwargs):
+    global made
+    made += 1
+    return new(cls, *args, **kwargs)
+fractions.Fraction.__new__ = counting_new
+fractions.Fraction(1, 2)
+assert made == 1, "the counter must see a Fraction being built"
+import polyadj, polyadj.cli, polyadj.sweeps
+print(made - 1)
+"""
+
+
+def test_import_builds_no_fraction():
+    # Fractions built at import time change the speed of later Fraction
+    # arithmetic in the same process, so importing the package must
+    # build none; a fresh interpreter sees the imports run.
+    src = str(Path(polyadj.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", _COUNT_FRACTIONS_AT_IMPORT],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "0\n"

@@ -1,5 +1,6 @@
 import dataclasses
 
+import fraction_reference
 import pytest
 import reduction_reference
 
@@ -11,7 +12,7 @@ from polyadj.errors import (
     NoEdges,
     WrongRowWeight,
 )
-from polyadj.generators import infeasible_four_by_four
+from polyadj.generators import all_graphs, infeasible_four_by_four
 from polyadj.hull import enumerate_vertices
 from polyadj.model import AffineMap, BinaryMatrix, Graph
 from polyadj.reductions import (
@@ -27,6 +28,7 @@ from polyadj.sweeps import matsui_instance_family
 
 EDGE = Graph.from_edges(2, [(0, 1)])
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+FAMILY = matsui_instance_family() + [infeasible_four_by_four()]
 
 
 def test_stable_to_part_single_edge():
@@ -73,16 +75,43 @@ def test_npadj_to_dcp_shape_and_weights():
     assert art.face_fixes == ((0, 0), (1, 1))
 
 
+def test_part_to_npadj_matches_hand_written_layout():
+    assert len(FAMILY) == 1074
+    for a in FAMILY:
+        derived = part_to_npadj(a)
+        reference = reduction_reference.part_to_npadj(a)
+        assert derived.target == reference.target
+        assert derived.amap == reference.amap
+        assert derived.face_fixes == reference.face_fixes
+        assert derived.coord_embedding == reference.coord_embedding
+
+
 def test_npadj_to_dcp_matches_hand_written_layout():
-    matrices = matsui_instance_family() + [infeasible_four_by_four()]
-    assert len(matrices) == 1074
-    for a in matrices:
+    assert len(FAMILY) == 1074
+    for a in FAMILY:
         derived = npadj_to_dcp(a)
         reference = reduction_reference.npadj_to_dcp(a)
         assert derived.target == reference.target
         assert derived.amap == reference.amap
         assert derived.face_fixes == reference.face_fixes
         assert derived.coord_embedding == reference.coord_embedding
+
+
+def test_composed_chain_map_matches_fraction_reference():
+    graphs = [g for nv in (2, 3, 4) for g in all_graphs(nv, min_edges=1)]
+    assert len(graphs) == 71
+    for g in graphs:
+        arts = reduction_chain(g)
+        ref = None
+        for art in (arts.to_part, arts.to_npadj, arts.to_dcp):
+            stage = fraction_reference.AffineMap.from_int_rows(art.amap.matrix, art.amap.offset)
+            ref = stage if ref is None else stage.compose(ref)
+        composed = arts.composed.amap
+        assert composed.matrix == ref.matrix and composed.offset == ref.offset
+        # the CLI prints the coefficients with str()
+        assert [[str(c) for c in row] for row in composed.matrix] == [
+            [str(c) for c in row] for row in ref.matrix
+        ]
 
 
 def test_chain_on_single_edge():
@@ -140,7 +169,7 @@ def test_face_slice_selects_fixed_coordinates():
 
 def test_corrupted_map_fails_verification():
     art = stable_to_part(EDGE)
-    zero = AffineMap.from_int_rows(
+    zero = AffineMap(
         [(0, 0)] * art.amap.target_dim, (0,) * art.amap.target_dim
     )
     broken = dataclasses.replace(art, amap=zero)
