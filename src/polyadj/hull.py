@@ -451,15 +451,33 @@ def _segment_witness(
     return alpha, point, cert
 
 
+def _midpoint_may_be_inside(u: Bits, v: Bits, rest: Sequence[Bits]) -> bool:
+    """False when (u+v)/2 provably avoids conv(rest), decided without an
+    LP.  A convex combination of 0/1 points that is 0 or 1 on a
+    coordinate uses only points with that value there, and one that is
+    1/2 needs points with both values: so only rest vertices agreeing
+    with u and v wherever those agree can take part, and among them
+    every coordinate where u and v differ must take both values."""
+    same = [k for k in range(len(u)) if u[k] == v[k]]
+    diff = [k for k in range(len(u)) if u[k] != v[k]]
+    agreeing = [x for x in rest if all(x[k] == u[k] for k in same)]
+    return all(len({x[k] for x in agreeing}) == 2 for k in diff)
+
+
 def are_adjacent(vertices: Sequence[Bits], u: Bits, v: Bits) -> AdjacencyVerdict:
     """Whether u and v span an edge of conv(vertices).
 
-    Decided as "is {u, v} a face".  A negative verdict carries a
-    certificate placing the midpoint (u+v)/2 in the hull of the other
-    vertices whenever the midpoint lies there (always, on this package's
-    polytope families); for vertex sets without that symmetry it falls
-    back to a certificate for some other interior point of the segment,
-    which exists for every non-adjacent vertex pair.
+    Non-adjacency is tried first, as "is the midpoint (u+v)/2 in the
+    hull of the other vertices": on this package's polytope families
+    that decides every non-adjacent pair, and the midpoint LP is skipped
+    whenever an exact 0/1 argument already places the midpoint outside
+    (see _midpoint_may_be_inside).  Otherwise the pair is decided as "is
+    {u, v} a face", with a supporting hyperplane as the positive
+    certificate.  A non-face whose midpoint avoids the hull (possible
+    only for vertex sets without that symmetry) gets a certificate for
+    some other interior point of the segment, which exists for every
+    non-adjacent vertex pair.  The order changes no certificate: the
+    midpoint lies in the hull of the rest only if {u, v} is not a face.
     """
     u = tuple(u)
     v = tuple(v)
@@ -468,16 +486,17 @@ def are_adjacent(vertices: Sequence[Bits], u: Bits, v: Bits) -> AdjacencyVerdict
     vert_list = [tuple(x) for x in vertices]
     if u not in vert_list or v not in vert_list:
         raise VertexNotInSet()
+    rest_positions = [i for i, x in enumerate(vert_list) if x != u and x != v]
+    rest = [vert_list[i] for i in rest_positions]
+    if _midpoint_may_be_inside(u, v, rest):
+        midpoint = tuple(Fraction(a + b, 2) for a, b in zip(u, v))
+        inner = in_convex_hull(midpoint, rest)
+        if inner is not None:
+            support = tuple((rest_positions[i], w) for i, w in inner.support)
+            return AdjacencyVerdict(False, None, HullCertificate(support))
     cert = is_face((u, v), vert_list)
     if cert is not None:
         return AdjacencyVerdict(True, cert, None)
-    midpoint = tuple(Fraction(a + b, 2) for a, b in zip(u, v))
-    rest_positions = [i for i, x in enumerate(vert_list) if x != u and x != v]
-    rest = [vert_list[i] for i in rest_positions]
-    inner = in_convex_hull(midpoint, rest)
-    if inner is not None:
-        support = tuple((rest_positions[i], w) for i, w in inner.support)
-        return AdjacencyVerdict(False, None, HullCertificate(support))
     witness = _segment_witness(u, v, rest)
     if witness is None:
         raise InvariantViolation(

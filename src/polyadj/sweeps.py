@@ -285,24 +285,93 @@ def family_vertex_sets() -> list[tuple[str, list[Bits]]]:
     return sets
 
 
+def _chvatal_rule(vertices: Sequence[Bits]) -> Callable[[Bits, Bits], bool]:
+    """Chvatal's criterion (JCTB 1975): stable sets S and T span an edge
+    of STAB(G) iff G[S xor T] is connected.  Two vertices of G are
+    joined iff no stable set in the vertex set holds both."""
+    d = len(vertices[0])
+    together = {(i, j) for x in vertices for i in range(d) for j in range(d) if x[i] and x[j]}
+
+    def adjacent(u: Bits, v: Bits) -> bool:
+        inside = {k for k in range(d) if u[k] != v[k]}
+        reached: set[int] = set()
+        frontier = [min(inside)]
+        while frontier:
+            i = frontier.pop()
+            if i not in reached:
+                reached.add(i)
+                frontier.extend(j for j in inside if (i, j) not in together)
+        return reached == inside
+
+    return adjacent
+
+
+def _product_rule(vertices: Sequence[Bits]) -> Callable[[Bits, Bits], bool]:
+    """A single-row double-cover polytope is an octahedron on the row's
+    four support coordinates times a cube on the free ones, the
+    coordinates every vertex can flip.  A pair is adjacent iff it is
+    adjacent in one factor and equal in the other: octahedron vertices
+    iff they are not complements (two differing coordinates, not four),
+    cube vertices iff they differ in one coordinate."""
+    members = set(vertices)
+    free = {
+        k for k in range(len(vertices[0]))
+        if all(x[:k] + (1 - x[k],) + x[k + 1:] in members for x in vertices)
+    }
+
+    def adjacent(u: Bits, v: Bits) -> bool:
+        diff = [k for k in range(len(u)) if u[k] != v[k]]
+        cube = sum(k in free for k in diff)
+        return (cube, len(diff) - cube) in ((1, 0), (0, 2))
+
+    return adjacent
+
+
+def _bruteforce_midpoint_rule(vertices: Sequence[Bits]) -> Callable[[Bits, Bits], bool]:
+    """The midpoint rule by support-subset search: u and v are adjacent
+    iff their midpoint is not a convex combination of the other
+    vertices.  Only vertices agreeing with u and v wherever those agree
+    can take part, and only the coordinates where u and v differ (all
+    1/2 there) need checking, which keeps the subsets few."""
+
+    def adjacent(u: Bits, v: Bits) -> bool:
+        same = [k for k in range(len(u)) if u[k] == v[k]]
+        diff = [k for k in range(len(u)) if u[k] != v[k]]
+        agreeing = [
+            tuple(x[k] for k in diff)
+            for x in vertices
+            if x != u and x != v and all(x[k] == u[k] for k in same)
+        ]
+        half = tuple(Fraction(1, 2) for _ in diff)
+        return not agreeing or in_convex_hull_bruteforce(half, agreeing) is None
+
+    return adjacent
+
+
+_FAMILY_RULES: dict[str, Callable[[Sequence[Bits]], Callable[[Bits, Bits], bool]]] = {
+    "stable": _chvatal_rule,
+    "dcp": _product_rule,
+    "npadj": _bruteforce_midpoint_rule,
+}
+
+
 def run_family_midpoint_sweep(
     *, progress: Progress | None = None
 ) -> AdjacencyCrosscheckResult:
-    """Compare the face-based adjacency decision against the literal
-    midpoint criterion on every vertex pair of family-built polytopes,
-    where the two are equivalent."""
+    """Compare the adjacency decision on every vertex pair of
+    family-built polytopes against rules that run no LP: Chvatal's
+    criterion on stable-set polytopes, the octahedron-times-cube product
+    on single-row double-cover polytopes, and the midpoint rule by
+    support-subset search on adjacency-family polytopes."""
     result = AdjacencyCrosscheckResult()
     for label, vertices in family_vertex_sets():
         result.vertex_sets += 1
+        family = next(f for f in _FAMILY_RULES if label.startswith(f))
+        rule = _FAMILY_RULES[family](vertices)
         for u, v in combinations(vertices, 2):
             verdict = are_adjacent(vertices, u, v)
-            midpoint = tuple(Fraction(a + b, 2) for a, b in zip(u, v))
-            rest = [x for x in vertices if x != u and x != v]
-            by_midpoint = (
-                in_convex_hull(midpoint, rest) is None if rest else True
-            )
             result.pairs += 1
-            if verdict.adjacent != by_midpoint:
+            if verdict.adjacent != rule(u, v):
                 result.disagreements += 1
         _tick(progress, f"{result.vertex_sets} family vertex sets")
     return result

@@ -4,8 +4,13 @@ The acceptance suite runs these at full size; here each driver gets a
 reduced workload so regressions surface quickly.
 """
 
+from itertools import combinations
+
 from polyadj import sweeps
 from polyadj.generators import three_ones_matrices
+from polyadj.hull import enumerate_vertices
+from polyadj.matsui import special_vertices
+from polyadj.model import BinaryMatrix, Graph, dcp, npadj, stable
 from polyadj.sweeps import (
     family_vertex_sets,
     matsui_instance_family,
@@ -65,6 +70,29 @@ def test_family_vertex_sets_cover_every_family():
     assert len(labels) >= 100
     for prefix in ("stable", "dcp", "npadj"):
         assert any(label.startswith(prefix) for label in labels)
+
+
+def test_family_rules_on_known_polytopes():
+    # STAB of the edgeless graph is the cube: edges change one coordinate
+    cube = enumerate_vertices(stable(Graph(3, ())))
+    chvatal = sweeps._chvatal_rule(cube)
+    for u, v in combinations(cube, 2):
+        assert chvatal(u, v) == (sum(a != b for a, b in zip(u, v)) == 1)
+    # on the path 0-1-2, {0} xor {2} is not connected, {0, 2} xor {1} is
+    path = enumerate_vertices(stable(Graph.from_edges(3, [(0, 1), (1, 2)])))
+    chvatal = sweeps._chvatal_rule(path)
+    assert not chvatal((1, 0, 0), (0, 0, 1))
+    assert chvatal((1, 0, 1), (0, 1, 0))
+    # an octahedron on coordinates 0, 1, 3, 4 times a segment on 2
+    prism = enumerate_vertices(dcp(BinaryMatrix.from_rows([[1, 1, 0, 1, 1]])))
+    product = sweeps._product_rule(prism)
+    assert product((1, 1, 0, 0, 0), (1, 1, 1, 0, 0))
+    assert product((1, 1, 0, 0, 0), (1, 0, 0, 1, 0))
+    assert not product((1, 1, 0, 0, 0), (0, 0, 0, 1, 1))
+    assert not product((1, 1, 0, 0, 0), (1, 0, 1, 1, 0))
+    a = BinaryMatrix.from_rows([[1, 1, 1]])
+    midpoint = sweeps._bruteforce_midpoint_rule(enumerate_vertices(npadj(a)))
+    assert not midpoint(*special_vertices(a))
 
 
 def test_pair_extension_sweep_tiny():
