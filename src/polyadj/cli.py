@@ -36,13 +36,8 @@ from .model import (
     DEFAULT_ENUMERATION_CAP,
     FAMILIES,
     PolytopeCode,
-    cover,
-    dcp,
     dimension,
     membership,
-    npadj,
-    pack,
-    part,
     stable,
 )
 from .reductions import (
@@ -56,8 +51,6 @@ from .reductions import (
 from .witness import refute_face
 
 _EXIT = {"ok": 0, "property-failed": 1, "input-error": 2}
-
-_MATRIX_FAMILIES = {"cover": cover, "pack": pack, "part": part, "dcp": dcp, "npadj": npadj}
 
 
 @dataclass
@@ -115,9 +108,8 @@ def _read_text(path: str) -> str:
 
 
 def _load_code(family: str, path: str) -> PolytopeCode:
-    if family == "stable":
-        return stable(parse_graph(_read_text(path)))
-    return _MATRIX_FAMILIES[family](parse_matrix(_read_text(path)))
+    parse = parse_graph if family == "stable" else parse_matrix
+    return PolytopeCode(family, parse(_read_text(path)))
 
 
 def _hull_support(cert: HullCertificate) -> list[str]:

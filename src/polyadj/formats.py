@@ -58,6 +58,7 @@ def parse_graph(text: str) -> Graph:
     if len(lines) - 1 != ne:
         raise FormatError(f"expected {ne} edge lines, found {len(lines) - 1}")
     edges = []
+    seen = set()
     for ln in lines[1:]:
         toks = ln.split()
         if len(toks) != 3 or toks[0] != "e" or not all(tok.isdigit() for tok in toks[1:]):
@@ -68,8 +69,9 @@ def parse_graph(text: str) -> Graph:
         if u == v:
             raise FormatError(f"self-loop in {ln!r}")
         key = (min(u, v) - 1, max(u, v) - 1)
-        if key in edges:
+        if key in seen:
             raise FormatError(f"duplicate edge in {ln!r}")
+        seen.add(key)
         edges.append(key)
     return Graph.from_edges(nv, edges)
 

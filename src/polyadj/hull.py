@@ -50,11 +50,6 @@ RatVector = tuple[Fraction, ...]
 
 # ---- vertex enumeration ----------------------------------------------------
 
-# The search recurses once per coordinate, so it must stay well below
-# the interpreter's recursion limit (1000 by default) whatever cap the
-# caller passes.
-MAX_SEARCH_DEPTH = 512
-
 
 def enumerate_vertices(
     code: PolytopeCode, *, max_dim: int = DEFAULT_ENUMERATION_CAP
@@ -75,13 +70,8 @@ def vertex_words(
     code: PolytopeCode, *, max_dim: int = DEFAULT_ENUMERATION_CAP
 ) -> tuple[int, ...]:
     """The vertices of enumerate_vertices as int words, coordinate 0 the
-    most significant bit, in increasing order.  Dimensions above
-    MAX_SEARCH_DEPTH are rejected whatever max_dim allows."""
+    most significant bit, in increasing order."""
     d = dimension(code)
-    if d > MAX_SEARCH_DEPTH:
-        raise InputError(
-            f"dimension {d} exceeds {MAX_SEARCH_DEPTH}, the deepest the vertex search can go"
-        )
     if d > max_dim:
         raise DimensionCapExceeded(d, max_dim)
     return _members(code)
@@ -93,54 +83,37 @@ def _members(code: PolytopeCode) -> tuple[int, ...]:
 
 
 def _pruned_search(d: int, constraints: Sequence[tuple[tuple[int, ...], int, int]]) -> list[int]:
-    lo = [c[1] for c in constraints]
-    hi = [c[2] for c in constraints]
-    rem = [len(c[0]) for c in constraints]
-    for ci in range(len(constraints)):
-        if lo[ci] > rem[ci] or hi[ci] < 0:
+    """Depth-first search over prefix words, each behind a leading 1 so
+    that its depth is bit_length() - 1.  A child survives when every row
+    holding its coordinate can still reach its window: each such row is
+    compiled to (mask, lo - r, hi), mask picking the row's coordinates
+    among the prefix and r counting the row's coordinates after it."""
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(d)]
+    for support, lo, hi in constraints:
+        # the only check on a row of empty support, which no coordinate holds
+        if lo > len(support) or hi < 0:
             return []
-    by_coord: list[list[int]] = [[] for _ in range(d)]
-    for ci, (support, _, _) in enumerate(constraints):
-        for i in support:
-            by_coord[i].append(ci)
-    cnt = [0] * len(constraints)
+        mask = prev = 0
+        for seen, i in enumerate(sorted(support), 1):
+            mask = mask << (i - prev) | 1
+            prev = i
+            checks[i].append((mask, lo - (len(support) - seen), hi))
+    top = 1 << d
     out: list[int] = []
-
-    def descend(i: int, acc: int) -> None:
-        if i == d:
-            out.append(acc)
-            return
-        cs = by_coord[i]
-        for c in cs:
-            rem[c] -= 1
-        ok = True
-        for c in cs:
-            if cnt[c] + rem[c] < lo[c]:
-                ok = False
-                break
-        if ok:
-            descend(i + 1, acc << 1)
-        ok = True
-        for c in cs:
-            v = cnt[c] + 1
-            if v > hi[c] or v + rem[c] < lo[c]:
-                ok = False
-                break
-        if ok:
-            for c in cs:
-                cnt[c] += 1
-            descend(i + 1, (acc << 1) | 1)
-            for c in cs:
-                cnt[c] -= 1
-        for c in cs:
-            rem[c] += 1
-
-    try:
-        descend(0, 0)
-    finally:
-        # descend holds itself through its closure cell; unbinding it
-        # frees the search state now instead of at the next collection
-        del descend
+    # the 1-child is pushed first, so words leave the stack in increasing order
+    stack = [1]
+    while stack:
+        word = stack.pop()
+        if word >= top:
+            out.append(word ^ top)
+            continue
+        rows = checks[word.bit_length() - 1]
+        for child in (word << 1 | 1, word << 1):
+            for mask, least, hi in rows:
+                if not least <= (child & mask).bit_count() <= hi:
+                    break
+            else:
+                stack.append(child)
     return out
 
 
@@ -193,6 +166,18 @@ def _check_vertex_list(point_dim: int, vertices: Sequence[Bits]) -> None:
     for x in vertices:
         if len(x) != point_dim:
             raise DimensionMismatch(point_dim, len(x))
+
+
+def _vertex_rows(vertices: Iterable[Sequence[int]]) -> list[Bits]:
+    """The vertices as tuples, refused unless all have one length and
+    only 0/1 entries."""
+    rows = [tuple(x) for x in vertices]
+    for x in rows:
+        if len(x) != len(rows[0]):
+            raise DimensionMismatch(len(rows[0]), len(x))
+        if not {0, 1}.issuperset(x):
+            raise InputError(f"vertex {x} has an entry outside 0/1")
+    return rows
 
 
 def verify_hull_certificate(
@@ -337,7 +322,7 @@ def is_face(face: Iterable[Bits], vertices: Sequence[Bits]) -> FaceCertificate |
     face_set = set(face_list)
     if len(face_set) != len(face_list):
         raise InputError("face subset contains duplicates")
-    vert_list = [tuple(x) for x in vertices]
+    vert_list = _vertex_rows(vertices)
     vert_set = set(vert_list)
     if not face_set <= vert_set:
         raise NotASubset()
@@ -483,7 +468,7 @@ def are_adjacent(vertices: Sequence[Bits], u: Bits, v: Bits) -> AdjacencyVerdict
     v = tuple(v)
     if u == v:
         raise EqualVertices()
-    vert_list = [tuple(x) for x in vertices]
+    vert_list = _vertex_rows(vertices)
     if u not in vert_list or v not in vert_list:
         raise VertexNotInSet()
     rest_positions = [i for i, x in enumerate(vert_list) if x != u and x != v]

@@ -264,15 +264,14 @@ def test_reduce_rejects_wrong_row_weight(workdir, capsys):
     assert "exactly three ones" in out
 
 
-def test_enumerate_above_search_depth_is_input_error(workdir, capsys):
+def test_enumerate_deep_path_partition(workdir, capsys):
     n = 1100
     path = workdir / "chain.mat"
     rows = (" ".join("1" if j in (i, i + 1) else "0" for j in range(n)) for i in range(n - 1))
     path.write_text(f"{n - 1} {n}\n" + "\n".join(rows) + "\n")
     rc, out = run(capsys, "enumerate", "part", str(path), "--max-dim", "2000", "--count-only")
-    assert rc == 2
-    assert out.startswith("status: input-error\n")
-    assert "exceeds 512" in out and "max_dim" not in out
+    assert rc == 0
+    assert out == f"status: ok\nfamily: part\ndimension: {n}\ncount: 2\n"
 
 
 def test_missing_file_is_input_error(workdir, capsys):

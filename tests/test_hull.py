@@ -3,21 +3,22 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import enumeration_reference
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyadj.errors import (
     DimensionCapExceeded,
+    DimensionMismatch,
     EqualVertices,
     InputError,
     InvalidCertificate,
     NotASubset,
     VertexNotInSet,
 )
-from polyadj.generators import random_vertex_set
+from polyadj.generators import infeasible_four_by_four, random_vertex_set
 from polyadj.hull import (
-    MAX_SEARCH_DEPTH,
     HullCertificate,
     _pruned_search,
     are_adjacent,
@@ -35,13 +36,16 @@ from polyadj.model import (
     Graph,
     bits_from_int,
     constraint_rows,
+    cover,
     dcp,
     dimension,
     membership,
     npadj,
+    pack,
     part,
     stable,
 )
+from polyadj.sweeps import matsui_instance_family
 
 OCTA = dcp(BinaryMatrix.from_rows([[1, 1, 1, 1]]))
 
@@ -81,13 +85,9 @@ def _path_partition(n):
     return part(BinaryMatrix(rows, n))
 
 
-def test_enumeration_depth_limit_ignores_max_dim():
-    assert len(vertex_words(_path_partition(MAX_SEARCH_DEPTH), max_dim=2000)) == 2
-    # the recursive search would exceed the interpreter's recursion limit
-    with pytest.raises(InputError, match=f"dimension 1100 exceeds {MAX_SEARCH_DEPTH}") as err:
-        vertex_words(_path_partition(1100), max_dim=2000)
-    assert not isinstance(err.value, DimensionCapExceeded)
-    assert "max_dim" not in str(err.value)
+def test_enumeration_depth_is_bounded_by_max_dim_only():
+    # far deeper than the interpreter's recursion limit lets a recursive search go
+    assert len(vertex_words(_path_partition(1100), max_dim=2000)) == 2
 
 
 def test_pruned_search_leaves_no_cyclic_garbage():
@@ -100,6 +100,61 @@ def test_pruned_search_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@st.composite
+def _constraint_systems(draw):
+    # empty supports, unsorted supports, and windows reaching outside
+    # [0, |support|] on both sides
+    d = draw(st.integers(min_value=0, max_value=12))
+    coords = st.sets(st.integers(0, d - 1), max_size=6) if d else st.just(set())
+    rows = []
+    for support in draw(st.lists(coords, max_size=8)):
+        k = len(support)
+        lo = draw(st.integers(-1, k + 1))
+        hi = draw(st.integers(-1, k + 1))
+        rows.append((tuple(draw(st.permutations(sorted(support)))), lo, hi))
+    return d, rows
+
+
+@settings(max_examples=300)
+@given(_constraint_systems())
+def test_search_matches_recursive_reference(system):
+    d, rows = system
+    assert _pruned_search(d, rows) == enumeration_reference._pruned_search(d, rows)
+
+
+def _family_codes():
+    rng = random.Random(20261018)
+    codes = [stable(Graph(0, ()))]
+    for n in range(1, 7):
+        pairs = list(combinations(range(n), 2))
+        codes.append(stable(Graph.from_edges(n, rng.sample(pairs, rng.randint(0, len(pairs))))))
+    for n in range(1, 8):
+        a = BinaryMatrix(
+            tuple(tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(rng.randint(0, 5))), n
+        )
+        codes += [cover(a), pack(a), part(a)]
+    for n in range(4, 8):
+        sups = [rng.sample(range(n), 4) for _ in range(rng.randint(0, 3))]
+        codes.append(dcp(BinaryMatrix(tuple(tuple(int(j in s) for j in range(n)) for s in sups), n)))
+    codes.append(npadj(BinaryMatrix.from_rows([[1, 1, 1, 0], [0, 1, 1, 1]])))
+    return codes
+
+
+@pytest.mark.parametrize("code", _family_codes(), ids=lambda c: c.family)
+def test_family_vertices_match_recursive_reference(code):
+    d = dimension(code)
+    assert vertex_words(code) == tuple(
+        enumeration_reference._pruned_search(d, constraint_rows(code))
+    )
+
+
+def test_matsui_family_vertices_match_recursive_reference():
+    for a in matsui_instance_family() + [infeasible_four_by_four()]:
+        for code in (npadj(a), part(a)):
+            expected = enumeration_reference._pruned_search(dimension(code), constraint_rows(code))
+            assert vertex_words(code) == tuple(expected)
 
 
 def test_enumeration_cap():
@@ -188,6 +243,25 @@ def test_is_face_rejects_duplicates():
     verts = enumerate_vertices(OCTA)
     with pytest.raises(InputError, match="^face subset contains duplicates$"):
         is_face([verts[0], verts[0]], verts)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: are_adjacent([(0, 0), (1, 1), (1,)], (0, 0), (1, 1)),
+         DimensionMismatch, "expected dimension 2, got 1"),
+        (lambda: are_adjacent([(0, 0), (1, 1), (1, 0, 1)], (0, 0), (1, 1)),
+         DimensionMismatch, "expected dimension 2, got 3"),
+        (lambda: is_face([(0, 0)], [(0, 0), (1, 1), (1,)]),
+         DimensionMismatch, "expected dimension 2, got 1"),
+        (lambda: are_adjacent([(0, 0), (1, 1), (2, 0)], (0, 0), (1, 1)),
+         InputError, r"vertex \(2, 0\) has an entry outside 0/1"),
+    ],
+    ids=["short", "long", "face-short", "entry-2"],
+)
+def test_malformed_vertex_lists_are_input_errors(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
 
 
 def test_octahedron_adjacency_pattern():
