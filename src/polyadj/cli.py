@@ -278,6 +278,7 @@ def _cmd_refute_face(args: argparse.Namespace) -> CommandResult:
     sums = tuple(a + b for a, b in zip(witness.y_star, witness.y_star_bar)) == total
     new_pair = {witness.y_star, witness.y_star_bar}
     distinct = all({y, ybar} != new_pair for y, ybar in pairs)
+    status = "ok" if members and sums and distinct else "property-failed"
     payload: dict[str, Any] = {
         "pair_count": len(pairs),
         "t": witness.t,
@@ -291,7 +292,7 @@ def _cmd_refute_face(args: argparse.Namespace) -> CommandResult:
             "distinct_from_inputs": distinct,
         },
     }
-    return CommandResult("ok", payload)
+    return CommandResult(status, payload)
 
 
 def _cmd_face_check(args: argparse.Namespace) -> CommandResult:

@@ -21,13 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 from . import linalg, simplex
 from .errors import (
     DimensionCapExceeded,
-    DimensionMismatch,
     EmptyVertexList,
     EqualVertices,
     InputError,
@@ -40,6 +39,7 @@ from .model import (
     DEFAULT_ENUMERATION_CAP,
     Bits,
     PolytopeCode,
+    as_bits,
     bits_from_int,
     constraint_rows,
     dimension,
@@ -157,26 +157,32 @@ class AdjacencyVerdict:
 
 
 def _as_rational(p: Sequence) -> RatVector:
-    return tuple(Fraction(v) for v in p)
+    """The point as Fractions, refusing floats, strings and the like."""
+    for v in p:
+        if not isinstance(v, (int, Fraction)):
+            raise InputError(f"point coordinate {v!r} is neither an int nor a Fraction")
+    return tuple(map(Fraction, p))
 
 
-def _check_vertex_list(point_dim: int, vertices: Sequence[Bits]) -> None:
+def _hull_input(point: Sequence, vertices: Sequence[Bits]) -> tuple[RatVector, list[Bits]]:
+    p = _as_rational(point)
     if not vertices:
         raise EmptyVertexList()
-    for x in vertices:
-        if len(x) != point_dim:
-            raise DimensionMismatch(point_dim, len(x))
+    return p, _vertex_rows(vertices, len(p))
 
 
-def _vertex_rows(vertices: Iterable[Sequence[int]]) -> list[Bits]:
-    """The vertices as tuples, refused unless all have one length and
-    only 0/1 entries."""
+def _vertex_rows(vertices: Iterable[Sequence[int]], dim: int | None = None) -> list[Bits]:
+    """The vertices as tuples of one length (dim, or the first one's) under
+    as_bits's rule, checked in one pass; as_bits names the first offender."""
     rows = [tuple(x) for x in vertices]
-    for x in rows:
-        if len(x) != len(rows[0]):
-            raise DimensionMismatch(len(rows[0]), len(x))
-        if not {0, 1}.issuperset(x):
-            raise InputError(f"vertex {x} has an entry outside 0/1")
+    dim = len(rows[0]) if dim is None and rows else dim
+    try:
+        bad = bytes(chain.from_iterable(rows)).translate(None, b"\x00\x01")
+    except (TypeError, ValueError):
+        bad = b"\x02"
+    if bad or not {dim}.issuperset(map(len, rows)):
+        for x in rows:
+            as_bits(x, dim)
     return rows
 
 
@@ -210,8 +216,7 @@ def in_convex_hull(point: Sequence, vertices: Sequence[Bits]) -> HullCertificate
     Decided by exact phase-1 simplex on the combination system; the
     basic solution it returns already has support of size at most d+1.
     """
-    p = _as_rational(point)
-    _check_vertex_list(len(p), vertices)
+    p, vertices = _hull_input(point, vertices)
     d = len(p)
     rows = [[x[r] for x in vertices] for r in range(d)]
     rows.append([1] * len(vertices))
@@ -232,8 +237,7 @@ def in_convex_hull_bruteforce(point: Sequence, vertices: Sequence[Bits]) -> Hull
     theorem this decides membership.  Exponential in |vertices|, meant
     for cross-validation on small inputs only.
     """
-    p = _as_rational(point)
-    _check_vertex_list(len(p), vertices)
+    p, vertices = _hull_input(point, vertices)
     d = len(p)
     rhs = list(p) + [1]
     for k in range(1, min(d + 1, len(vertices)) + 1):
@@ -261,8 +265,7 @@ def caratheodory_reduce(
     subtracted at the largest step that keeps all weights nonnegative,
     zeroing at least one weight per round.
     """
-    p = _as_rational(point)
-    _check_vertex_list(len(p), vertices)
+    p, vertices = _hull_input(point, vertices)
     verify_hull_certificate(p, vertices, cert)
     d = len(p)
     idxs = [i for i, _ in cert.support]
@@ -318,15 +321,14 @@ def is_face(face: Iterable[Bits], vertices: Sequence[Bits]) -> FaceCertificate |
     shortcut is verified like any other certificate and never decides
     the negative direction.
     """
-    face_list = [tuple(x) for x in face]
+    vert_list = _vertex_rows(vertices)
+    d = len(vert_list[0]) if vert_list else 0
+    face_list = _vertex_rows(face, d)
     face_set = set(face_list)
     if len(face_set) != len(face_list):
         raise InputError("face subset contains duplicates")
-    vert_list = _vertex_rows(vertices)
-    vert_set = set(vert_list)
-    if not face_set <= vert_set:
+    if not face_set <= set(vert_list):
         raise NotASubset()
-    d = len(vert_list[0]) if vert_list else 0
     if not face_set:
         return FaceCertificate(tuple(Fraction(0) for _ in range(d)), Fraction(1))
     members = [x for x in vert_list if x in face_set]
@@ -464,11 +466,11 @@ def are_adjacent(vertices: Sequence[Bits], u: Bits, v: Bits) -> AdjacencyVerdict
     non-adjacent vertex pair.  The order changes no certificate: the
     midpoint lies in the hull of the rest only if {u, v} is not a face.
     """
-    u = tuple(u)
-    v = tuple(v)
+    vert_list = _vertex_rows(vertices)
+    d = len(vert_list[0]) if vert_list else None
+    u, v = as_bits(u, d), as_bits(v, d)
     if u == v:
         raise EqualVertices()
-    vert_list = _vertex_rows(vertices)
     if u not in vert_list or v not in vert_list:
         raise VertexNotInSet()
     rest_positions = [i for i, x in enumerate(vert_list) if x != u and x != v]

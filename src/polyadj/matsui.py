@@ -98,7 +98,7 @@ def face_decomposition(
         slices.append(tuple(face_slice(code, fixes, max_dim=max_dim)))
     f1, f2, f3, f4 = slices
 
-    part_count = len(enumerate_vertices(part(a)))
+    part_count = len(enumerate_vertices(part(a), max_dim=max_dim))
     sizes = {len(s) for s in slices}
     if sizes != {part_count}:
         raise InvariantViolation("face slices differ in size from the partition count")
@@ -121,7 +121,7 @@ def matsui_check(
 ) -> MatsuiReport:
     """Test the criterion on one instance: the special pair is adjacent
     exactly when the partition polytope of the matrix is empty."""
-    part_verts = enumerate_vertices(part(a))
+    part_verts = enumerate_vertices(part(a), max_dim=max_dim)
     verts = enumerate_vertices(npadj(a), max_dim=max_dim)
     x0, x0bar = special_vertices(a)
     verdict = are_adjacent(verts, x0, x0bar)

@@ -37,14 +37,20 @@ DEFAULT_ENUMERATION_CAP = 24
 FAMILIES = ("cover", "pack", "part", "stable", "dcp", "npadj")
 
 
-def as_bits(values: Iterable[int]) -> Bits:
-    """Coerce to a tuple of 0/1 ints, rejecting anything else."""
-    bits = tuple(map(int, values))
-    if bits.count(0) + bits.count(1) != len(bits):
-        for b in bits:
-            if b not in (0, 1):
-                raise InputError(f"not a 0/1 vector: contains {b}")
-    return bits
+def as_bits(values: Iterable[int], dim: int | None = None) -> Bits:
+    """The vertex as a tuple of the ints 0 and 1 (InputError for any other
+    entry), of length dim when given (DimensionMismatch)."""
+    x = tuple(values)
+    # bytes() refuses non-ints and ints outside 0..255; bytes(n) would be n zeros
+    try:
+        packed = bytes(x)
+    except (TypeError, ValueError):
+        packed = b"\x02"
+    if packed.translate(None, b"\x00\x01"):
+        raise InputError(f"vertex {x} has an entry outside 0/1")
+    if dim is not None and len(x) != dim:
+        raise DimensionMismatch(dim, len(x))
+    return tuple(packed)
 
 
 def complement(x: Bits) -> Bits:
@@ -87,16 +93,11 @@ class BinaryMatrix:
     def __post_init__(self) -> None:
         if self.ncols < 1:
             raise InputError("matrix needs at least one column")
-        for row in self.rows:
-            if len(row) != self.ncols:
-                raise DimensionMismatch(self.ncols, len(row))
-            for v in row:
-                if v not in (0, 1):
-                    raise InputError(f"matrix entries must be 0/1, got {v}")
+        object.__setattr__(self, "rows", tuple(as_bits(r, self.ncols) for r in self.rows))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "BinaryMatrix":
-        tup = tuple(tuple(int(v) for v in row) for row in rows)
+        tup = tuple(map(tuple, rows))
         if not tup:
             raise EmptyMatrix()
         return cls(tup, len(tup[0]))
@@ -276,9 +277,7 @@ def stable_edge_masks(g: Graph) -> list[int]:
 
 def membership(code: PolytopeCode, x: Sequence[int]) -> bool:
     """Exact membership of a 0/1 point in the coded polytope's vertex set."""
-    d = dimension(code)
-    if len(x) != d:
-        raise DimensionMismatch(d, len(x))
+    x = as_bits(x, dimension(code))
     for support, lo, hi in constraint_rows(code):
         s = 0
         for i in support:

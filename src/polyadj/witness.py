@@ -45,7 +45,6 @@ from .errors import (
 )
 from .hull import vertex_words
 from .model import (
-    DEFAULT_ENUMERATION_CAP,
     Bits,
     Graph,
     as_bits,
@@ -274,9 +273,7 @@ def refute_face(
     return Refutation(family=family, witness=witness, midpoint=midpoint)
 
 
-def pair_extension_oracle(
-    graph: Graph, total: Sequence[int], *, max_dim: int = DEFAULT_ENUMERATION_CAP
-) -> list[Pair]:
+def pair_extension_oracle(graph: Graph, total: Sequence[int]) -> list[Pair]:
     """All unordered stable-vertex pairs with the given coordinate sum,
     lexicographic by smaller member.
 
@@ -293,7 +290,7 @@ def pair_extension_oracle(
     twos = bits_to_int(tuple(int(v == 2) for v in total))
     ones = bits_to_int(tuple(int(v == 1) for v in total))
     frozen = ~ones
-    words = vertex_words(stable(graph), max_dim=max_dim)
+    words = vertex_words(stable(graph))
     members = set(words)
     out: list[Pair] = []
     # words increase, so y < z orders the pair as Bits tuples too

@@ -4,11 +4,13 @@ Each test drives ``polyadj.cli.main`` in process and checks the exact
 rendered payload, since downstream tooling scrapes this output.
 """
 
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
+from polyadj import cli
 from polyadj.cli import main
 
 SINGLE_ROW = "1 3\n1 1 1\n"
@@ -67,6 +69,23 @@ def test_refute_face_cube_document(workdir, capsys):
     )
     assert rc == 0
     assert out == CUBE_REFUTATION
+
+
+def test_refute_face_failed_check_exits_one(workdir, capsys, monkeypatch):
+    # a witness repeating an input pair fails distinct_from_inputs
+    real = cli.refute_face
+
+    def repeating(graph, pairs):
+        refutation = real(graph, pairs)
+        y, ybar = pairs[0]
+        witness = dataclasses.replace(refutation.witness, y_star=y, y_star_bar=ybar)
+        return dataclasses.replace(refutation, witness=witness)
+
+    monkeypatch.setattr("polyadj.cli.refute_face", repeating)
+    rc, out = run(capsys, "refute-face", str(workdir / "free3.graph"), str(workdir / "cube.pairs"))
+    assert rc == 1
+    assert out.startswith("status: property-failed\n")
+    assert "  distinct_from_inputs: false\n" in out
 
 
 def test_refute_face_is_deterministic(workdir, capsys):

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -46,6 +47,7 @@ from polyadj.model import (
     stable,
 )
 from polyadj.sweeps import matsui_instance_family
+from polyadj.witness import refute_face
 
 OCTA = dcp(BinaryMatrix.from_rows([[1, 1, 1, 1]]))
 
@@ -245,19 +247,78 @@ def test_is_face_rejects_duplicates():
         is_face([verts[0], verts[0]], verts)
 
 
+# Every public entry point that takes a caller's 0/1 vector or vertex
+# list, called with the bad vector x where a 2-coordinate vertex belongs
+# (the bare ids are the vertex list of are_adjacent).
+_VERTEX_ENTRIES = {
+    "": lambda x: are_adjacent([(0, 0), (1, 1), x], (0, 0), (1, 1)),
+    "adjacent-u-": lambda x: are_adjacent([(0, 0), (1, 1), (1, 0)], x, (1, 1)),
+    "adjacent-v-": lambda x: are_adjacent([(0, 0), (1, 1), (1, 0)], (0, 0), x),
+    "face-": lambda x: is_face([(0, 0)], [(0, 0), (1, 1), x]),
+    "face-subset-": lambda x: is_face([x], [(0, 0), (1, 1), (1, 0)]),
+    "hull-": lambda x: in_convex_hull((0, 0), [(0, 0), (1, 1), x]),
+    "bruteforce-": lambda x: in_convex_hull_bruteforce((0, 0), [(0, 0), (1, 1), x]),
+    "caratheodory-": lambda x: caratheodory_reduce(
+        (0, 0), [(0, 0), (1, 1), x], HullCertificate(((0, Fraction(1)),))
+    ),
+    "membership-": lambda x: membership(part(BinaryMatrix.from_rows([[1, 1]])), x),
+    "matrix-": lambda x: BinaryMatrix(((0, 1), x), 2),
+    "from-rows-": lambda x: BinaryMatrix.from_rows([[0, 1], x]),
+    "refute-": lambda x: refute_face(
+        Graph(2, ()), [(x, (1, 1)), ((0, 1), (1, 0)), ((1, 0), (0, 1))]
+    ),
+}
+_BAD_VERTICES = {
+    "entry-2": (2, 0),
+    "entry-minus-1": (-1, 0),
+    "entry-half": (0.5, 0),
+    "entry-float-1": (1.0, 0),
+    "entry-str-1": ("1", 0),
+    "short": (1,),
+    "long": (1, 0, 1),
+}
+
+
+def _vertex_error(x):
+    if len(x) != 2 and set(x) <= {0, 1}:
+        return DimensionMismatch, f"expected dimension 2, got {len(x)}"
+    return InputError, re.escape(f"vertex {x} has an entry outside 0/1")
+
+
+# Points take ints and Fractions only, never floats or strings.
+_FLOAT_POINT = "point coordinate 0.1 is neither an int nor a Fraction"
+_HALF = HullCertificate(((0, Fraction(1, 2)), (1, Fraction(1, 2))))
+_BAD_POINTS = {
+    "point-hull-float": (lambda: in_convex_hull((0.1,), [(0,), (1,)]), _FLOAT_POINT),
+    "point-hull-str": (
+        lambda: in_convex_hull(("1/2", 0.5), [(0, 0), (1, 1)]),
+        "point coordinate '1/2' is neither an int nor a Fraction",
+    ),
+    "point-bruteforce-float": (
+        lambda: in_convex_hull_bruteforce((0.1,), [(0,), (1,)]), _FLOAT_POINT
+    ),
+    "point-caratheodory-float": (
+        lambda: caratheodory_reduce((0.1,), [(0,), (1,)], _HALF), _FLOAT_POINT
+    ),
+    "point-verify-float": (
+        lambda: verify_hull_certificate((0.1,), [(0,), (1,)], _HALF), _FLOAT_POINT
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: are_adjacent([(0, 0), (1, 1), (1,)], (0, 0), (1, 1)),
-         DimensionMismatch, "expected dimension 2, got 1"),
-        (lambda: are_adjacent([(0, 0), (1, 1), (1, 0, 1)], (0, 0), (1, 1)),
-         DimensionMismatch, "expected dimension 2, got 3"),
-        (lambda: is_face([(0, 0)], [(0, 0), (1, 1), (1,)]),
-         DimensionMismatch, "expected dimension 2, got 1"),
-        (lambda: are_adjacent([(0, 0), (1, 1), (2, 0)], (0, 0), (1, 1)),
-         InputError, r"vertex \(2, 0\) has an entry outside 0/1"),
+        pytest.param(
+            lambda entry=entry, x=x: entry(x), *_vertex_error(x), id=prefix + name
+        )
+        for prefix, entry in _VERTEX_ENTRIES.items()
+        for name, x in _BAD_VERTICES.items()
+    ]
+    + [
+        pytest.param(call, InputError, re.escape(message), id=name)
+        for name, (call, message) in _BAD_POINTS.items()
     ],
-    ids=["short", "long", "face-short", "entry-2"],
 )
 def test_malformed_vertex_lists_are_input_errors(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):

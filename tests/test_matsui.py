@@ -1,6 +1,7 @@
 import pytest
 import reduction_reference
 
+from polyadj import matsui
 from polyadj.errors import WrongRowWeight
 from polyadj.generators import infeasible_four_by_four, three_ones_matrices
 from polyadj.hull import enumerate_vertices
@@ -53,6 +54,25 @@ def test_two_row_instance():
     assert not report.part_empty
     assert not report.special_adjacent
     assert report.criterion_holds
+
+
+def test_max_dim_reaches_every_enumeration(monkeypatch):
+    # a real run past the default cap walks 2^n prefixes, so record the
+    # calls instead
+    calls = []
+    real = matsui.enumerate_vertices
+
+    def recorder(code, **kwargs):
+        calls.append((code.family, kwargs))
+        return real(code, **kwargs)
+
+    monkeypatch.setattr(matsui, "enumerate_vertices", recorder)
+    a = BinaryMatrix.from_rows([[1, 1, 1]])
+    matsui_check(a, max_dim=30)
+    assert sorted(calls) == [("npadj", {"max_dim": 30}), ("part", {"max_dim": 30})]
+    calls.clear()
+    face_decomposition(a, max_dim=30)
+    assert sorted(calls) == [("npadj", {"max_dim": 30}), ("part", {"max_dim": 30})]
 
 
 def test_decomposition_partitions_vertex_set():

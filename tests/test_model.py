@@ -23,6 +23,7 @@ from polyadj.model import (
     BinaryMatrix,
     Graph,
     PolytopeCode,
+    as_bits,
     bits_from_int,
     bits_to_int,
     complement,
@@ -55,6 +56,28 @@ def test_matrix_rejects_empty():
 def test_matrix_rejects_ragged():
     with pytest.raises(DimensionMismatch):
         BinaryMatrix.from_rows([[1, 0], [1, 0, 1]])
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from([0, 1, True, False]),
+            st.integers(),
+            st.floats(allow_nan=False),
+            st.fractions(),
+            st.text(max_size=1),
+        ),
+        max_size=8,
+    )
+)
+def test_as_bits_takes_only_the_ints_0_and_1(values):
+    if all(type(v) in (int, bool) and v in (0, 1) for v in values):
+        bits = as_bits(values)
+        assert bits == tuple(map(int, values))
+        assert all(type(b) is int for b in bits)
+    else:
+        with pytest.raises(InputError, match=" has an entry outside 0/1$"):
+            as_bits(values)
 
 
 def test_graph_normalizes_edges():
