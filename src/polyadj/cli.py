@@ -30,7 +30,7 @@ from .formats import (
     parse_vertex_list,
     rat_str,
 )
-from .hull import FaceCertificate, HullCertificate, are_adjacent, enumerate_vertices, is_face
+from .hull import FaceCertificate, are_adjacent, enumerate_vertices, is_face
 from .matsui import matsui_check
 from .model import (
     DEFAULT_ENUMERATION_CAP,
@@ -40,14 +40,7 @@ from .model import (
     membership,
     stable,
 )
-from .reductions import (
-    ReductionArtifact,
-    npadj_to_dcp,
-    part_to_npadj,
-    reduction_chain,
-    stable_to_part,
-    verify_reduction,
-)
+from .reductions import STAGE_BUILDERS, ReductionArtifact, reduction_chain, verify_reduction
 from .witness import refute_face
 
 _EXIT = {"ok": 0, "property-failed": 1, "input-error": 2}
@@ -112,8 +105,8 @@ def _load_code(family: str, path: str) -> PolytopeCode:
     return PolytopeCode(family, parse(_read_text(path)))
 
 
-def _hull_support(cert: HullCertificate) -> list[str]:
-    return [f"{i + 1}: {rat_str(w)}" for i, w in cert.support]
+def _support(support: tuple[tuple[int, Fraction], ...]) -> list[str]:
+    return [f"{i + 1}: {rat_str(w)}" for i, w in support]
 
 
 def _face_payload(cert: FaceCertificate) -> dict[str, Any]:
@@ -159,7 +152,7 @@ def _cmd_adjacent(args: argparse.Namespace) -> CommandResult:
         midpoint = [Fraction(a + b, 2) for a, b in zip(u, v)]
         payload["certificate"] = {
             "midpoint": [rat_str(c) for c in midpoint],
-            "support": _hull_support(verdict.midpoint_certificate),
+            "support": _support(verdict.midpoint_certificate.support),
         }
     else:
         seg = verdict.segment_certificate
@@ -167,7 +160,7 @@ def _cmd_adjacent(args: argparse.Namespace) -> CommandResult:
         payload["certificate"] = {
             "alpha": rat_str(seg.alpha),
             "point": [rat_str(c) for c in seg.point],
-            "support": [f"{i + 1}: {rat_str(w)}" for i, w in seg.support],
+            "support": _support(seg.support),
         }
     return CommandResult("ok", payload)
 
@@ -217,50 +210,27 @@ def _verification_payload(art: ReductionArtifact, max_dim: int) -> dict[str, Any
 
 
 def _cmd_reduce(args: argparse.Namespace) -> CommandResult:
-    status = "ok"
-    if args.kind == "chain":
-        g = parse_graph(_read_text(args.input))
-        arts = reduction_chain(g)
-        stages = [
-            ("stable-part", arts.to_part),
-            ("part-npadj", arts.to_npadj),
-            ("npadj-dcp", arts.to_dcp),
+    chain = args.kind == "chain"
+    parse = parse_graph if chain or args.kind == "stable-part" else parse_matrix
+    source = parse(_read_text(args.input))
+    payload: dict[str, Any] = {"kind": args.kind}
+    if chain:
+        arts = reduction_chain(source)
+        payload["stages"] = [
+            {"name": name, "source_dim": dimension(a.source), "target_dim": dimension(a.target)}
+            for name, a in arts.stages
         ]
-        payload: dict[str, Any] = {
-            "kind": "chain",
-            "stages": [
-                {
-                    "name": name,
-                    "source_dim": dimension(art.source),
-                    "target_dim": dimension(art.target),
-                }
-                for name, art in stages
-            ],
-        }
-        payload.update(_artifact_payload(arts.composed))
-        final = arts.composed
-        if args.verify:
-            checks: dict[str, Any] = {}
-            for name, art in stages + [("composed", arts.composed)]:
-                checks[name] = _verification_payload(art, args.max_dim)
-                if not checks[name]["ok"]:
-                    status = "property-failed"
-            payload["verification"] = checks
+        final, checked = arts.composed, [*arts.stages, ("composed", arts.composed)]
     else:
-        builders = {
-            "stable-part": (stable_to_part, parse_graph),
-            "part-npadj": (part_to_npadj, parse_matrix),
-            "npadj-dcp": (npadj_to_dcp, parse_matrix),
-        }
-        build, parse = builders[args.kind]
-        art = build(parse(_read_text(args.input)))
-        payload = {"kind": args.kind}
-        payload.update(_artifact_payload(art))
-        final = art
-        if args.verify:
-            payload["verification"] = _verification_payload(art, args.max_dim)
-            if not payload["verification"]["ok"]:
-                status = "property-failed"
+        final = STAGE_BUILDERS[args.kind](source)
+        checked = [(args.kind, final)]
+    payload.update(_artifact_payload(final))
+    status = "ok"
+    if args.verify:
+        checks = {name: _verification_payload(art, args.max_dim) for name, art in checked}
+        if not all(check["ok"] for check in checks.values()):
+            status = "property-failed"
+        payload["verification"] = checks if chain else checks[args.kind]
     if args.out is not None:
         Path(args.out).write_text(format_matrix(final.target.params), encoding="ascii")
         payload["out"] = str(args.out)
@@ -353,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_matsui)
 
     p = sub.add_parser("reduce", help="run one reduction stage or the whole chain")
-    p.add_argument("kind", choices=("stable-part", "part-npadj", "npadj-dcp", "chain"))
+    p.add_argument("kind", choices=(*STAGE_BUILDERS, "chain"))
     p.add_argument("input", help="graph file for stable-part/chain, matrix file otherwise")
     p.add_argument("--verify", action="store_true", help="check the face-embedding properties")
     p.add_argument("--out", help="write the target matrix to this file")

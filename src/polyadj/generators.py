@@ -45,17 +45,10 @@ def all_graphs(vertex_count: int, *, min_edges: int = 0) -> Iterator[Graph]:
             yield Graph(vertex_count, chosen)
 
 
-def random_graph(rng: random.Random, vertex_count: int, p: float = 0.5) -> Graph:
-    edges = [
-        (u, v)
-        for u, v in combinations(range(vertex_count), 2)
-        if rng.random() < p
-    ]
+def random_graph(rng: random.Random, vertex_count: int) -> Graph:
+    """A graph with each edge present with probability one half."""
+    edges = [(u, v) for u, v in combinations(range(vertex_count), 2) if rng.random() < 0.5]
     return Graph(vertex_count, tuple(edges))
-
-
-def random_bit_vector(rng: random.Random, dim: int) -> Bits:
-    return tuple(rng.randrange(2) for _ in range(dim))
 
 
 def random_vertex_set(
@@ -66,7 +59,7 @@ def random_vertex_set(
         raise ValueError("cannot draw that many distinct points")
     seen: set[Bits] = set()
     while len(seen) < count:
-        seen.add(random_bit_vector(rng, dim))
+        seen.add(tuple(rng.randrange(2) for _ in range(dim)))
     return sorted(seen)
 
 
@@ -75,11 +68,10 @@ def odd_index_subsets(
     universe: int,
     *,
     exhaustive_triples: int,
-    random_draws: int,
 ) -> list[tuple[int, ...]]:
     """Odd-size index subsets (size >= 3) of range(universe) for family
     sampling: all triples up to a budget, the largest odd proper prefix,
-    and a batch of random odd-size draws."""
+    and six random odd-size draws."""
     out: list[tuple[int, ...]] = []
     triples = list(combinations(range(universe), 3))
     if len(triples) <= exhaustive_triples:
@@ -90,7 +82,7 @@ def odd_index_subsets(
     if largest >= 3:
         out.append(tuple(range(largest)))
     sizes = [s for s in range(3, universe + 1, 2)]
-    for _ in range(random_draws):
+    for _ in range(6):
         if not sizes:
             break
         size = rng.choice(sizes)

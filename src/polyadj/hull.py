@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import linalg, simplex
 from .errors import (
@@ -40,6 +40,7 @@ from .model import (
     Bits,
     PolytopeCode,
     as_bits,
+    as_tuple,
     bits_from_int,
     constraint_rows,
     dimension,
@@ -158,6 +159,7 @@ class AdjacencyVerdict:
 
 def _as_rational(p: Sequence) -> RatVector:
     """The point as Fractions, refusing floats, strings and the like."""
+    p = as_tuple(p, "point")
     for v in p:
         if not isinstance(v, (int, Fraction)):
             raise InputError(f"point coordinate {v!r} is neither an int nor a Fraction")
@@ -171,10 +173,13 @@ def _hull_input(point: Sequence, vertices: Sequence[Bits]) -> tuple[RatVector, l
     return p, _vertex_rows(vertices, len(p))
 
 
-def _vertex_rows(vertices: Iterable[Sequence[int]], dim: int | None = None) -> list[Bits]:
+def _vertex_rows(vertices: Sequence[Sequence[int]], dim: int | None = None) -> list[Bits]:
     """The vertices as tuples of one length (dim, or the first one's) under
     as_bits's rule, checked in one pass; as_bits names the first offender."""
-    rows = [tuple(x) for x in vertices]
+    try:
+        rows = [tuple(x) for x in vertices]
+    except TypeError:
+        rows = [as_tuple(x, "vertex") for x in vertices]
     dim = len(rows[0]) if dim is None and rows else dim
     try:
         bad = bytes(chain.from_iterable(rows)).translate(None, b"\x00\x01")
@@ -307,7 +312,7 @@ def verify_face_certificate(
             raise InvalidCertificate(f"outside vertex {x} not separated by a full unit")
 
 
-def is_face(face: Iterable[Bits], vertices: Sequence[Bits]) -> FaceCertificate | None:
+def is_face(face: Sequence[Bits], vertices: Sequence[Bits]) -> FaceCertificate | None:
     """Decide whether the given vertex subset is exactly the vertex set
     of a face of conv(vertices).
 

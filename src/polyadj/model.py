@@ -37,10 +37,26 @@ DEFAULT_ENUMERATION_CAP = 24
 FAMILIES = ("cover", "pack", "part", "stable", "dcp", "npadj")
 
 
+def as_tuple(values: Iterable, what: str) -> tuple:
+    """The vertex or point as a tuple; InputError when it is not a sequence."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise InputError(f"{what} {values!r} is not a sequence") from None
+
+
+def as_index(value: int, what: str) -> int:
+    """A count or an index as an int; InputError for a float or any non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{what} {value!r} is not an integer") from None
+
+
 def as_bits(values: Iterable[int], dim: int | None = None) -> Bits:
     """The vertex as a tuple of the ints 0 and 1 (InputError for any other
     entry), of length dim when given (DimensionMismatch)."""
-    x = tuple(values)
+    x = as_tuple(values, "vertex")
     # bytes() refuses non-ints and ints outside 0..255; bytes(n) would be n zeros
     try:
         packed = bytes(x)
@@ -91,13 +107,13 @@ class BinaryMatrix:
     ncols: int
 
     def __post_init__(self) -> None:
-        if self.ncols < 1:
+        if as_index(self.ncols, "column count") < 1:
             raise InputError("matrix needs at least one column")
         object.__setattr__(self, "rows", tuple(as_bits(r, self.ncols) for r in self.rows))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "BinaryMatrix":
-        tup = tuple(map(tuple, rows))
+        tup = tuple(as_tuple(r, "vertex") for r in rows)
         if not tup:
             raise EmptyMatrix()
         return cls(tup, len(tup[0]))
@@ -125,10 +141,11 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 0:
+        if as_index(self.vertex_count, "vertex count") < 0:
             raise InputError("vertex count must be nonnegative")
         seen = set()
         for u, v in self.edges:
+            u, v = as_index(u, "edge endpoint"), as_index(v, "edge endpoint")
             if not (0 <= u < v < self.vertex_count):
                 raise InputError(f"edge ({u}, {v}) is not a normalized pair of distinct vertices")
             if (u, v) in seen:

@@ -16,6 +16,7 @@ injective, and the slice must be supported as a face of the target.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import CoordinateOutOfRange, EmptyGraph, InputError, NoEdges
 from .hull import enumerate_vertices, is_face
@@ -185,12 +186,25 @@ def compose(first: ReductionArtifact, second: ReductionArtifact) -> ReductionArt
     )
 
 
+# the chain's stages by name, in chain order, which ChainArtifacts.stages relies on
+STAGE_BUILDERS: dict[str, Callable[..., ReductionArtifact]] = {
+    "stable-part": stable_to_part,
+    "part-npadj": part_to_npadj,
+    "npadj-dcp": npadj_to_dcp,
+}
+
+
 @dataclass(frozen=True)
 class ChainArtifacts:
     to_part: ReductionArtifact
     to_npadj: ReductionArtifact
     to_dcp: ReductionArtifact
     composed: ReductionArtifact
+
+    @property
+    def stages(self) -> tuple[tuple[str, ReductionArtifact], ...]:
+        """(name, artifact) for each stage, in chain order."""
+        return tuple(zip(STAGE_BUILDERS, (self.to_part, self.to_npadj, self.to_dcp)))
 
 
 def reduction_chain(g: Graph) -> ChainArtifacts:

@@ -25,9 +25,11 @@ from .errors import Defect
 from .linalg import integer_row
 
 
-def feasible_point(
-    matrix: Sequence[Sequence], rhs: Sequence, *, max_pivots: int = 5_000_000
-) -> list[Fraction] | None:
+# pivots one feasible_point call may take before it raises a Defect
+MAX_PIVOTS = 5_000_000
+
+
+def feasible_point(matrix: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
     """Solve the feasibility problem {z >= 0 : matrix . z = rhs} exactly.
 
     Returns a basic feasible solution (so at most len(matrix) entries are
@@ -92,7 +94,7 @@ def feasible_point(
             raise Defect("phase-1 objective unbounded")
 
         pivots += 1
-        if pivots > max_pivots:
+        if pivots > MAX_PIVOTS:
             raise Defect("pivot budget exhausted")
 
         prow = rows[leave]

@@ -125,13 +125,7 @@ def run_chain_sweep(
         for g in all_graphs(nv, min_edges=1):
             result.graphs += 1
             arts = reduction_chain(g)
-            stages = (
-                ("stable-part", arts.to_part),
-                ("part-npadj", arts.to_npadj),
-                ("npadj-dcp", arts.to_dcp),
-                ("composed", arts.composed),
-            )
-            for label, art in stages:
+            for label, art in (*arts.stages, ("composed", arts.composed)):
                 report = verify_reduction(art, max_dim=40)
                 result.checks += 1
                 if not report.ok:
@@ -157,7 +151,7 @@ class HullCrosscheckResult:
     disagreements: int = 0
 
     @property
-    def all_agree(self) -> bool:
+    def all_hold(self) -> bool:
         return self.queries > 0 and self.disagreements == 0
 
 
@@ -208,7 +202,7 @@ class AdjacencyCrosscheckResult:
     disagreements: int = 0
 
     @property
-    def all_agree(self) -> bool:
+    def all_hold(self) -> bool:
         return self.pairs > 0 and self.disagreements == 0
 
 
@@ -450,12 +444,7 @@ def run_pair_extension_sweep(
             if {frozenset(p) for p in pair_list} != oracle_pairs:
                 result.failures.append(f"oracle disagrees with pair scan on {g} sum {total}")
                 continue
-            for subset in odd_index_subsets(
-                rng,
-                len(pair_list),
-                exhaustive_triples=triple_budget,
-                random_draws=6,
-            ):
+            for subset in odd_index_subsets(rng, len(pair_list), exhaustive_triples=triple_budget):
                 family = [pair_list[i] for i in subset]
                 result.families += 1
                 try:
@@ -572,7 +561,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     print(f"  {item}")
             else:
                 print(f"{label}.{f.name}: {value}")
-        ok = ok and getattr(result, "all_hold", getattr(result, "all_agree", False))
+        ok = ok and result.all_hold
     return 0 if ok else 1
 
 

@@ -70,11 +70,11 @@ def test_criterion_3_hull_and_adjacency_oracles():
     midpoint = run_family_midpoint_sweep()
     ok = (
         hull.queries >= 1000
-        and hull.all_agree
+        and hull.all_hold
         and segment.vertex_sets >= 100
-        and segment.all_agree
+        and segment.all_hold
         and midpoint.vertex_sets >= 100
-        and midpoint.all_agree
+        and midpoint.all_hold
     )
     report(
         "hull-oracle-crosscheck",

@@ -10,8 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from polyadj import cli
+from polyadj import cli, hull
 from polyadj.cli import main
+from polyadj.reductions import ReductionReport
 
 SINGLE_ROW = "1 3\n1 1 1\n"
 OCTA = "1 4\n1 1 1 1\n"
@@ -150,6 +151,57 @@ def test_adjacent_non_adjacent_pair(workdir, capsys):
     )
 
 
+# No midpoint symmetry: 000 and 111 are not adjacent, and only the
+# segment certificate shows it (see test_hull).
+SEGMENT_VERTICES = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)]
+
+SEGMENT_DOCUMENT = """\
+status: ok
+family: pack
+u: 000
+v: 111
+adjacent: false
+certificate:
+  alpha: 2/3
+  point:
+    - 1/3
+    - 1/3
+    - 1/3
+  support:
+    - 2: 1/3
+    - 3: 1/3
+    - 4: 1/3
+"""
+
+
+def test_adjacent_segment_certificate_document(workdir, capsys, monkeypatch):
+    def segment_only(vertices, u, v):
+        return hull.are_adjacent(SEGMENT_VERTICES, u, v)
+
+    monkeypatch.setattr("polyadj.cli.are_adjacent", segment_only)
+    args = ("adjacent", "pack", str(workdir / "single.mat"), "000", "111")
+    rc, out = run(capsys, *args)
+    assert rc == 0
+    assert out == SEGMENT_DOCUMENT
+    rc, out = run(capsys, *args, "--json")
+    assert rc == 0
+    assert out == json.dumps(
+        {
+            "status": "ok",
+            "family": "pack",
+            "u": "000",
+            "v": "111",
+            "adjacent": False,
+            "certificate": {
+                "alpha": "2/3",
+                "point": ["1/3", "1/3", "1/3"],
+                "support": ["2: 1/3", "3: 1/3", "4: 1/3"],
+            },
+        },
+        indent=2,
+    ) + "\n"
+
+
 def test_adjacent_pair_with_face_certificate(workdir, capsys):
     rc, out = run(capsys, "adjacent", "dcp", str(workdir / "octa.mat"), "0011", "0101")
     assert rc == 0
@@ -222,6 +274,72 @@ def test_reduce_chain_verified(workdir, capsys):
     assert "  rows: 9\n  cols: 17\n" in out
     assert out.count("ok: true") == 4
     assert "face_fixes:\n  - 1=0\n  - 2=1\n  - 3=0\n  - 4=1\n  - 5=1\n" in out
+
+
+NPADJ_DCP_VERIFIED = """\
+status: ok
+kind: npadj-dcp
+source:
+  family: npadj
+  dimension: 12
+target:
+  family: dcp
+  dimension: 14
+  rows: 7
+  cols: 14
+matrix:
+  - 1 1 0 0 0 1 0 0 1 0 0 0 0 0
+  - 0 0 1 1 0 0 0 0 1 0 0 1 0 0
+  - 1 1 0 0 0 0 1 0 0 1 0 0 0 0
+  - 0 0 1 1 0 0 0 0 0 1 0 0 1 0
+  - 1 1 0 0 0 0 0 1 0 0 1 0 0 0
+  - 0 0 1 1 0 0 0 0 0 0 1 0 0 1
+  - 0 0 0 0 1 1 0 0 0 0 0 0 1 1
+map:
+  rows:
+    - 0 0 0 0 0 0 0 0 0 0 0 0
+    - 0 0 0 0 0 0 0 0 0 0 0 0
+    - 1 0 0 0 0 0 0 0 0 0 0 0
+    - 0 1 0 0 0 0 0 0 0 0 0 0
+    - 0 0 1 0 0 0 0 0 0 0 0 0
+    - 0 0 0 1 0 0 0 0 0 0 0 0
+    - 0 0 0 0 1 0 0 0 0 0 0 0
+    - 0 0 0 0 0 1 0 0 0 0 0 0
+    - 0 0 0 0 0 0 1 0 0 0 0 0
+    - 0 0 0 0 0 0 0 1 0 0 0 0
+    - 0 0 0 0 0 0 0 0 1 0 0 0
+    - 0 0 0 0 0 0 0 0 0 1 0 0
+    - 0 0 0 0 0 0 0 0 0 0 1 0
+    - 0 0 0 0 0 0 0 0 0 0 0 1
+  offset: 0 1 0 0 0 0 0 0 0 0 0 0 0 0
+face_fixes:
+  - 1=0
+  - 2=1
+verification:
+  image_equals_face_slice: true
+  injective: true
+  face_is_supported: true
+  ok: true
+"""
+
+
+def test_reduce_single_stage_verified_document(workdir, capsys):
+    rc, out = run(capsys, "reduce", "npadj-dcp", str(workdir / "single.mat"), "--verify")
+    assert rc == 0
+    assert out == NPADJ_DCP_VERIFIED
+
+
+@pytest.mark.parametrize(
+    "kind, name, checks",
+    [("npadj-dcp", "single.mat", 1), ("chain", "edge3.graph", 4)],
+)
+def test_reduce_failed_verification_exits_one(workdir, capsys, monkeypatch, kind, name, checks):
+    failed = ReductionReport(False, True, True, source_dim=0, target_dim=0)
+    monkeypatch.setattr("polyadj.cli.verify_reduction", lambda art, max_dim: failed)
+    rc, out = run(capsys, "reduce", kind, str(workdir / name), "--verify")
+    assert rc == 1
+    assert out.startswith("status: property-failed\n")
+    assert out.count("image_equals_face_slice: false") == out.count("ok: false") == checks
 
 
 def test_face_check_true_and_false(workdir, capsys):

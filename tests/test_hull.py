@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from polyadj.errors import (
     DimensionCapExceeded,
     DimensionMismatch,
+    EmptyVertexList,
     EqualVertices,
     InputError,
     InvalidCertificate,
@@ -175,6 +176,11 @@ def test_in_convex_hull_inside():
     verify_hull_certificate((Fraction(1, 2), Fraction(1, 2)), verts, cert)
 
 
+def test_hull_needs_a_vertex():
+    with pytest.raises(EmptyVertexList):
+        in_convex_hull((0,), [])
+
+
 def test_in_convex_hull_outside():
     verts = [(0, 0), (1, 1)]
     assert in_convex_hull((Fraction(3, 4), Fraction(1, 4)), verts) is None
@@ -276,10 +282,13 @@ _BAD_VERTICES = {
     "entry-str-1": ("1", 0),
     "short": (1,),
     "long": (1, 0, 1),
+    "not-a-sequence": 5,
 }
 
 
 def _vertex_error(x):
+    if not isinstance(x, tuple):
+        return InputError, f"vertex {x} is not a sequence"
     if len(x) != 2 and set(x) <= {0, 1}:
         return DimensionMismatch, f"expected dimension 2, got {len(x)}"
     return InputError, re.escape(f"vertex {x} has an entry outside 0/1")
@@ -302,6 +311,12 @@ _BAD_POINTS = {
     ),
     "point-verify-float": (
         lambda: verify_hull_certificate((0.1,), [(0,), (1,)], _HALF), _FLOAT_POINT
+    ),
+    "point-hull-not-a-sequence": (
+        lambda: in_convex_hull(5, [(0,), (1,)]), "point 5 is not a sequence"
+    ),
+    "point-verify-not-a-sequence": (
+        lambda: verify_hull_certificate(5, [(0,), (1,)], _HALF), "point 5 is not a sequence"
     ),
 }
 

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -91,6 +92,26 @@ def test_graph_rejects_bad_edges():
         Graph.from_edges(2, [(0, 0)])
     with pytest.raises(InputError):
         Graph.from_edges(2, [(0, 2)])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: BinaryMatrix(((0, 1),), 2.0), "column count 2.0", id="ncols-float"),
+        pytest.param(lambda: Graph(2.0, ((0, 1),)), "vertex count 2.0", id="count-float"),
+        pytest.param(lambda: Graph(3, ((0.5, 1),)), "edge endpoint 0.5", id="endpoint-float"),
+    ],
+)
+def test_counts_and_indices_must_be_ints(build, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)} is not an integer$"):
+        build()
+
+
+def test_graph_rejects_negative_count_and_duplicate_edges():
+    with pytest.raises(InputError, match="^vertex count must be nonnegative$"):
+        Graph(-1, ())
+    with pytest.raises(InputError, match=re.escape("duplicate edge (0, 1)")):
+        Graph(3, ((0, 1), (0, 1)))
 
 
 def test_bits_round_trip_examples():

@@ -79,9 +79,10 @@ def test_conflicting_sum_rows():
         assert feasible_point(rows, rhs) is None
 
 
-def test_pivot_budget_exhausted():
+def test_pivot_budget_exhausted(monkeypatch):
+    monkeypatch.setattr("polyadj.simplex.MAX_PIVOTS", 0)
     with pytest.raises(Defect, match="pivot budget exhausted"):
-        feasible_point([[1, 1]], [1], max_pivots=0)
+        feasible_point([[1, 1]], [1])
 
 
 def test_no_rows_is_a_defect():

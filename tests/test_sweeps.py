@@ -55,14 +55,14 @@ def test_hull_crosscheck_small():
     assert report.queries == 60
     assert report.disagreements == 0
     assert 0 < report.inside_answers < 60
-    assert report.all_agree
+    assert report.all_hold
 
 
 def test_adjacency_crosscheck_small():
     report = run_adjacency_crosscheck(10, seed=11)
     assert report.vertex_sets == 10
     assert report.pairs > 0
-    assert report.all_agree
+    assert report.all_hold
 
 
 def test_family_vertex_sets_cover_every_family():
