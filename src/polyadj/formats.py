@@ -73,7 +73,7 @@ def parse_graph(text: str) -> Graph:
             raise FormatError(f"duplicate edge in {ln!r}")
         seen.add(key)
         edges.append(key)
-    return Graph.from_edges(nv, edges)
+    return Graph(nv, edges)
 
 
 def format_graph(g: Graph) -> str:

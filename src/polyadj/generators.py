@@ -7,7 +7,7 @@ fixed order, and randomized ones take an explicit random.Random.
 from __future__ import annotations
 
 import random
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 from typing import Iterator, Sequence
 
 from .model import BinaryMatrix, Bits, Graph
@@ -63,29 +63,18 @@ def random_vertex_set(
     return sorted(seen)
 
 
-def odd_index_subsets(
-    rng: random.Random,
-    universe: int,
-    *,
-    exhaustive_triples: int,
-) -> list[tuple[int, ...]]:
+def odd_index_subsets(rng: random.Random, universe: int) -> list[tuple[int, ...]]:
     """Odd-size index subsets (size >= 3) of range(universe) for family
-    sampling: all triples up to a budget, the largest odd proper prefix,
+    sampling: the first twelve triples, the largest odd proper prefix,
     and six random odd-size draws."""
-    out: list[tuple[int, ...]] = []
-    triples = list(combinations(range(universe), 3))
-    if len(triples) <= exhaustive_triples:
-        out.extend(triples)
-    else:
-        out.extend(triples[:exhaustive_triples])
+    out: list[tuple[int, ...]] = list(islice(combinations(range(universe), 3), 12))
     largest = universe if universe % 2 == 1 else universe - 1
     if largest >= 3:
         out.append(tuple(range(largest)))
-    sizes = [s for s in range(3, universe + 1, 2)]
+    sizes = list(range(3, universe + 1, 2))
     for _ in range(6):
         if not sizes:
             break
         size = rng.choice(sizes)
         out.append(tuple(sorted(rng.sample(range(universe), size))))
-    deduped = sorted(set(out))
-    return deduped
+    return sorted(set(out))

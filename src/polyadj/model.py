@@ -133,33 +133,33 @@ class BinaryMatrix:
 class Graph:
     """An undirected graph on vertices 0..vertex_count-1.
 
-    Edges are stored normalized (u < v) and sorted, so two graphs with
-    the same edge set compare and hash equal regardless of input order.
+    Edges may come in any order and orientation; they are stored
+    normalized (u < v) and sorted, so two graphs with the same edge set
+    compare and hash equal regardless of input order.  A self-loop, an
+    endpoint outside the vertices or a repeated edge, in either
+    orientation, is an InputError.
     """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if as_index(self.vertex_count, "vertex count") < 0:
+        n = as_index(self.vertex_count, "vertex count")
+        if n < 0:
             raise InputError("vertex count must be nonnegative")
         seen = set()
         for u, v in self.edges:
             u, v = as_index(u, "edge endpoint"), as_index(v, "edge endpoint")
-            if not (0 <= u < v < self.vertex_count):
-                raise InputError(f"edge ({u}, {v}) is not a normalized pair of distinct vertices")
+            if u == v:
+                raise InputError(f"self-loop at vertex {u}")
+            if u > v:
+                u, v = v, u
+            if u < 0 or v >= n:
+                raise InputError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
             if (u, v) in seen:
                 raise InputError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
-
-    @classmethod
-    def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        normalized = set()
-        for u, v in edges:
-            if u == v:
-                raise InputError(f"self-loop at vertex {u}")
-            normalized.add((min(u, v), max(u, v)))
-        return cls(vertex_count, tuple(sorted(normalized)))
+        object.__setattr__(self, "edges", tuple(sorted(seen)))
 
     @property
     def edge_count(self) -> int:

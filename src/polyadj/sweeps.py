@@ -3,12 +3,12 @@
 Each sweep replays one of the package's guaranteed properties across an
 instance family and reports failures instead of raising, so a driver
 run always completes and the caller decides what a failure means.
-Randomized sweeps draw from fixed seeds, or from the seed passed in
-where a caller varies it; given the same arguments they revisit exactly
-the same instances.
+Each sweep's instance set is stated once, in its body: its sizes and
+seeds are fixed there, so every run revisits exactly the same
+instances, and a caller chooses only whether to see progress.
 
 ``python -m polyadj.sweeps NAME`` runs one of them (matsui, chain,
-hull, pairs, face) at the sizes the acceptance suite uses.
+hull, pairs, face), the same runs the acceptance suite makes.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import PolytopeError
 from .generators import (
     all_graphs,
-    infeasible_four_by_four,
     odd_index_subsets,
     random_graph,
     random_vertex_set,
@@ -68,7 +67,8 @@ class MatsuiSweepResult:
 
 def matsui_instance_family() -> list[BinaryMatrix]:
     """The deduplicated sweep family: every row multiset of weight-three
-    rows for widths 3 to 5 and 1 to 4 rows."""
+    rows for widths 3 to 5 and 1 to 4 rows, 1,073 matrices, the
+    infeasible 4x4 instance among them."""
     out: list[BinaryMatrix] = []
     for n in (3, 4, 5):
         for m in (1, 2, 3, 4):
@@ -76,15 +76,11 @@ def matsui_instance_family() -> list[BinaryMatrix]:
     return out
 
 
-def run_matsui_sweep(
-    matrices: Iterable[BinaryMatrix],
-    *,
-    progress: Progress | None = None,
-) -> MatsuiSweepResult:
-    """Check the adjacency criterion on every matrix, at the default
-    enumeration cap."""
+def run_matsui_sweep(*, progress: Progress | None = None) -> MatsuiSweepResult:
+    """Check the adjacency criterion on every matrix of
+    matsui_instance_family, at the default enumeration cap."""
     result = MatsuiSweepResult()
-    for a in matrices:
+    for a in matsui_instance_family():
         report = matsui_check(a)
         result.instances += 1
         if report.part_empty:
@@ -110,18 +106,14 @@ class ChainSweepResult:
         return self.graphs > 0 and not self.failures
 
 
-def run_chain_sweep(
-    vertex_counts: Sequence[int] = (2, 3, 4),
-    *,
-    progress: Progress | None = None,
-) -> ChainSweepResult:
+def run_chain_sweep(*, progress: Progress | None = None) -> ChainSweepResult:
     """Verify every stage and the full composition of the reduction
-    chain on every graph with at least one edge, and audit the final
-    double-cover matrix shape and row weights.  Enumeration is capped
-    at dimension 40, above the 35 of a four-vertex complete graph's
-    double-cover code."""
+    chain on each of the 71 graphs on 2 to 4 vertices with at least one
+    edge, and audit the final double-cover matrix shape and row
+    weights.  Enumeration is capped at dimension 40, above the 35 of a
+    four-vertex complete graph's double-cover code."""
     result = ChainSweepResult()
-    for nv in vertex_counts:
+    for nv in (2, 3, 4):
         for g in all_graphs(nv, min_edges=1):
             result.graphs += 1
             arts = reduction_chain(g)
@@ -155,21 +147,16 @@ class HullCrosscheckResult:
         return self.queries > 0 and self.disagreements == 0
 
 
-def run_hull_crosscheck(
-    n_queries: int = 1000,
-    *,
-    seed: int = 20260819,
-    max_dim: int = 4,
-    max_vertices: int = 8,
-    progress: Progress | None = None,
-) -> HullCrosscheckResult:
+def run_hull_crosscheck(*, progress: Progress | None = None) -> HullCrosscheckResult:
     """Compare the simplex membership route against the exhaustive
-    support-subset oracle on random rational queries."""
-    rng = random.Random(seed)
+    support-subset oracle on 1,000 random rational queries (seed
+    20260819), each against at most eight vertices in dimension 1 to 4,
+    about half of them a convex combination of those vertices."""
+    rng = random.Random(20260819)
     result = HullCrosscheckResult()
-    while result.queries < n_queries:
-        d = rng.randint(1, max_dim)
-        count = rng.randint(1, min(max_vertices, 1 << d))
+    while result.queries < 1000:
+        d = rng.randint(1, 4)
+        count = rng.randint(1, min(8, 1 << d))
         vertices = random_vertex_set(rng, d, count)
         if rng.random() < 0.5:
             # A guaranteed-inside query: a random convex combination.
@@ -226,18 +213,14 @@ def _segment_meets_rest(u: Bits, v: Bits, rest: Sequence[Bits]) -> bool:
     return feasible_point(rows, rhs) is not None
 
 
-def run_adjacency_crosscheck(
-    n_sets: int = 100,
-    *,
-    seed: int = 20260820,
-    progress: Progress | None = None,
-) -> AdjacencyCrosscheckResult:
+def run_adjacency_crosscheck(*, progress: Progress | None = None) -> AdjacencyCrosscheckResult:
     """Compare the face-based adjacency decision against the segment
     criterion (some point of the open segment lies in the hull of the
-    other vertices) on every vertex pair of random small vertex sets."""
-    rng = random.Random(seed)
+    other vertices) on every vertex pair of 100 random sets (seed
+    20260820) of 3 to 10 vertices in dimension 2 to 5."""
+    rng = random.Random(20260820)
     result = AdjacencyCrosscheckResult()
-    for _ in range(n_sets):
+    for _ in range(100):
         d = rng.randint(2, 5)
         count = rng.randint(3, min(10, 1 << d))
         vertices = random_vertex_set(rng, d, count)
@@ -386,42 +369,35 @@ class PairSweepResult:
         return self.families > 0 and not self.failures
 
 
-def _sum_buckets(words: Sequence[int], dim: int) -> dict[int, list[tuple[int, int]]]:
-    """Index pairs of vertex words grouped by coordinate sum; sums are
-    base-4 packed with coordinate 0 the lowest digit (digits never
-    exceed two, so addition cannot carry)."""
+def _equal_sum_classes(
+    words: Sequence[int], dim: int
+) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int]]]]:
+    """Each coordinate sum shared by three or more pairs of the vertex
+    words, with those pairs as index pairs (i, j), i < j.  Sums come in
+    increasing order of their base-4 packing, coordinate 0 the lowest
+    digit (digits never exceed two, so addition cannot carry)."""
     # a word's binary digits, reversed and read in base 4, are its packing
     enc = [int(bin(w | 1 << dim)[:2:-1] or "0", 4) for w in words]
-    buckets: dict[int, list[tuple[int, int]]] = {}
+    classes: dict[int, list[tuple[int, int]]] = {}
     for i in range(len(enc)):
         ei = enc[i]
         for j in range(i + 1, len(enc)):
-            buckets.setdefault(ei + enc[j], []).append((i, j))
-    return buckets
+            classes.setdefault(ei + enc[j], []).append((i, j))
+    for key, index_pairs in sorted(classes.items()):
+        if len(index_pairs) >= 3:
+            yield tuple((key >> (2 * i)) & 3 for i in range(dim)), index_pairs
 
 
-def _decode_sum(key: int, dim: int) -> tuple[int, ...]:
-    return tuple((key >> (2 * i)) & 3 for i in range(dim))
-
-
-def run_pair_extension_sweep(
-    exhaustive_max_vertices: int = 6,
-    *,
-    sampled_sizes: Sequence[int] = (7, 8),
-    samples_per_size: int = 5000,
-    triple_budget: int = 12,
-    progress: Progress | None = None,
-) -> PairSweepResult:
+def run_pair_extension_sweep(*, progress: Progress | None = None) -> PairSweepResult:
     """Refute every sampled odd-size family of equal-sum stable pairs.
 
-    Graphs up to the exhaustive bound are enumerated completely; the
-    sampled sizes get random graphs (seed 20260821).  For each realized
-    sum with at least three pairs, odd-size families are drawn (all
-    triples up to a budget, the largest odd prefix, and six random odd
-    subsets) and
-    refute_face must deliver a valid witness for each: in the polytope,
-    on the right sum, absent from the inputs, present in the oracle's
-    pair list.
+    All 33,866 graphs on 2 to 6 vertices are enumerated, then 5,000
+    random graphs on 7 and 5,000 on 8 vertices are drawn (seed
+    20260821).  For each realized sum with at least three pairs,
+    odd-size families are drawn (the first twelve triples, the largest
+    odd prefix, and six random odd subsets) and refute_face must
+    deliver a valid witness for each: in the polytope, on the right
+    sum, absent from the inputs, present in the oracle's pair list.
     """
     rng = random.Random(20260821)
     result = PairSweepResult()
@@ -431,12 +407,8 @@ def run_pair_extension_sweep(
         words = vertex_words(stable(g))
         vertices = [bits_from_int(w, g.vertex_count) for w in words]
         vert_set = set(vertices)
-        buckets = _sum_buckets(words, g.vertex_count)
-        for key, index_pairs in sorted(buckets.items()):
-            if len(index_pairs) < 3:
-                continue
+        for total, index_pairs in _equal_sum_classes(words, g.vertex_count):
             result.buckets += 1
-            total = _decode_sum(key, g.vertex_count)
             pair_list = [(vertices[i], vertices[j]) for i, j in index_pairs]
             oracle_pairs = {
                 frozenset(p) for p in pair_extension_oracle(g, total)
@@ -444,7 +416,7 @@ def run_pair_extension_sweep(
             if {frozenset(p) for p in pair_list} != oracle_pairs:
                 result.failures.append(f"oracle disagrees with pair scan on {g} sum {total}")
                 continue
-            for subset in odd_index_subsets(rng, len(pair_list), exhaustive_triples=triple_budget):
+            for subset in odd_index_subsets(rng, len(pair_list)):
                 family = [pair_list[i] for i in subset]
                 result.families += 1
                 try:
@@ -465,11 +437,11 @@ def run_pair_extension_sweep(
         if result.graphs % 2000 == 0:
             _tick(progress, f"{result.graphs} graphs, {result.families} families")
 
-    for nv in range(2, exhaustive_max_vertices + 1):
+    for nv in range(2, 7):
         for g in all_graphs(nv):
             visit(g)
-    for nv in sampled_sizes:
-        for _ in range(samples_per_size):
+    for nv in (7, 8):
+        for _ in range(5000):
             visit(random_graph(rng, nv))
     return result
 
@@ -488,26 +460,20 @@ class FaceCorollaryResult:
         return self.subsets > 0 and not self.counterexamples
 
 
-def run_face_corollary_sweep(
-    vertex_counts: Sequence[int] = (2, 3, 4, 5, 6),
-    *,
-    progress: Progress | None = None,
-) -> FaceCorollaryResult:
+def run_face_corollary_sweep(*, progress: Progress | None = None) -> FaceCorollaryResult:
     """Exhaustively confirm that no odd-size collection of three or more
     distinct equal-sum pairs is the vertex set of a face, over all
-    graphs whose stable-set polytope has at most twelve vertices."""
+    graphs on 2 to 6 vertices whose stable-set polytope has at most
+    twelve vertices."""
     result = FaceCorollaryResult()
-    for nv in vertex_counts:
+    for nv in range(2, 7):
         for g in all_graphs(nv):
             words = vertex_words(stable(g))
             if len(words) > 12:
                 continue
             result.graphs += 1
             vertices = [bits_from_int(w, nv) for w in words]
-            buckets = _sum_buckets(words, nv)
-            for key, index_pairs in sorted(buckets.items()):
-                if len(index_pairs) < 3:
-                    continue
+            for total, index_pairs in _equal_sum_classes(words, nv):
                 for size in range(3, len(index_pairs) + 1, 2):
                     for chosen in combinations(index_pairs, size):
                         face = []
@@ -516,7 +482,6 @@ def run_face_corollary_sweep(
                             face.append(vertices[j])
                         result.subsets += 1
                         if is_face(face, vertices) is not None:
-                            total = _decode_sum(key, g.vertex_count)
                             result.counterexamples.append(
                                 f"face of {size} pairs on {g} sum {total}"
                             )
@@ -526,30 +491,30 @@ def run_face_corollary_sweep(
 
 # ---- command line ------------------------------------------------------------
 
-_SWEEPS: dict[str, Callable[[Progress], dict[str, object]]] = {
-    "matsui": lambda tick: {
-        "matsui": run_matsui_sweep(
-            matsui_instance_family() + [infeasible_four_by_four()], progress=tick
-        )
+_SWEEPS: dict[str, dict[str, Callable[..., object]]] = {
+    "matsui": {"matsui": run_matsui_sweep},
+    "chain": {"chain": run_chain_sweep},
+    "hull": {
+        "membership": run_hull_crosscheck,
+        "segment": run_adjacency_crosscheck,
+        "midpoint": run_family_midpoint_sweep,
     },
-    "chain": lambda tick: {"chain": run_chain_sweep(progress=tick)},
-    "hull": lambda tick: {
-        "membership": run_hull_crosscheck(progress=tick),
-        "segment": run_adjacency_crosscheck(progress=tick),
-        "midpoint": run_family_midpoint_sweep(progress=tick),
-    },
-    "pairs": lambda tick: {"pairs": run_pair_extension_sweep(progress=tick)},
-    "face": lambda tick: {"face": run_face_corollary_sweep(progress=tick)},
+    "pairs": {"pairs": run_pair_extension_sweep},
+    "face": {"face": run_face_corollary_sweep},
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one sweep at the acceptance sizes: progress on stderr, the
-    result fields on stdout, exit 0 iff every property held."""
+    """Run one sweep: progress on stderr, the result fields on stdout,
+    exit 0 iff every property held."""
     parser = argparse.ArgumentParser(prog="python -m polyadj.sweeps", description=main.__doc__)
     parser.add_argument("name", choices=tuple(_SWEEPS))
     args = parser.parse_args(argv)
-    results = _SWEEPS[args.name](lambda msg: print(msg, file=sys.stderr, end="\r"))
+
+    def tick(message: str) -> None:
+        print(message, file=sys.stderr, end="\r")
+
+    results = {label: sweep(progress=tick) for label, sweep in _SWEEPS[args.name].items()}
     print(file=sys.stderr)
     ok = True
     for label, result in results.items():

@@ -48,6 +48,7 @@ from .model import (
     Bits,
     Graph,
     as_bits,
+    as_tuple,
     bits_from_int,
     bits_to_int,
     membership,
@@ -140,18 +141,24 @@ def _is_stable(word: int, masks: list[int]) -> bool:
 def build_pair_family(graph: Graph, pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> PairFamily:
     """Validate and orient a family of equal-sum stable pairs.
 
-    Checks, in order: at least three pairs, every member a stable-set
-    vertex of the graph, equal coordinate sums, pairwise distinct pairs,
-    and a nondegenerate lead pair.  The orientation and the indicator
-    sets are then forced, no choices remain.
+    Checks, in order: a sequence of at least three entries, each a
+    pair, every member a stable-set vertex of the graph, equal
+    coordinate sums, pairwise distinct pairs, and a nondegenerate lead
+    pair.  The orientation and the indicator sets are then forced, no
+    choices remain.
     """
+    pairs = as_tuple(pairs, "pair family")
     if len(pairs) < 3:
         raise TooFewPairs(len(pairs))
     d = graph.vertex_count
     masks = stable_edge_masks(graph)
     checked: list[Pair] = []
     words: list[tuple[int, int]] = []
-    for idx, (u, v) in enumerate(pairs):
+    for idx, pair in enumerate(pairs):
+        try:
+            u, v = pair
+        except (TypeError, ValueError):
+            raise InputError(f"family entry {idx} is not a pair: {pair!r}") from None
         ub, vb = as_bits(u), as_bits(v)
         if len(ub) != d or len(vb) != d:
             raise DimensionMismatch(d, len(ub) if len(ub) != d else len(vb))
@@ -282,11 +289,12 @@ def pair_extension_oracle(graph: Graph, total: Sequence[int]) -> list[Pair]:
     set.
     """
     d = graph.vertex_count
+    total = as_tuple(total, "coordinate sum")
     if len(total) != d:
         raise DimensionMismatch(d, len(total))
     for v in total:
-        if v not in (0, 1, 2):
-            raise InputError(f"coordinate sums must be 0, 1, or 2, got {v}")
+        if not isinstance(v, int) or v not in (0, 1, 2):
+            raise InputError(f"coordinate sums must be 0, 1, or 2, got {v!r}")
     twos = bits_to_int(tuple(int(v == 2) for v in total))
     ones = bits_to_int(tuple(int(v == 1) for v in total))
     frozen = ~ones

@@ -18,9 +18,7 @@ from polyadj import (
     HullCertificate,
 )
 from polyadj.cli import main
-from polyadj.generators import infeasible_four_by_four
 from polyadj.sweeps import (
-    matsui_instance_family,
     run_adjacency_crosscheck,
     run_chain_sweep,
     run_face_corollary_sweep,
@@ -37,8 +35,7 @@ def report(name, ok, detail):
 
 
 def test_criterion_1_matsui_equivalence_sweep():
-    matrices = matsui_instance_family() + [infeasible_four_by_four()]
-    result = run_matsui_sweep(matrices)
+    result = run_matsui_sweep()
     ok = (
         result.instances >= 500
         and result.all_hold
@@ -54,7 +51,7 @@ def test_criterion_1_matsui_equivalence_sweep():
 
 
 def test_criterion_2_reduction_chain():
-    result = run_chain_sweep((2, 3, 4))
+    result = run_chain_sweep()
     ok = result.graphs == 71 and result.all_hold
     report(
         "reduction-chain",
@@ -65,11 +62,12 @@ def test_criterion_2_reduction_chain():
 
 
 def test_criterion_3_hull_and_adjacency_oracles():
-    hull = run_hull_crosscheck(1000)
-    segment = run_adjacency_crosscheck(100)
+    hull = run_hull_crosscheck()
+    segment = run_adjacency_crosscheck()
     midpoint = run_family_midpoint_sweep()
     ok = (
         hull.queries >= 1000
+        and 0 < hull.inside_answers < hull.queries
         and hull.all_hold
         and segment.vertex_sets >= 100
         and segment.all_hold
@@ -87,7 +85,7 @@ def test_criterion_3_hull_and_adjacency_oracles():
 
 
 def test_criterion_4_pair_extension_property():
-    result = run_pair_extension_sweep(6, sampled_sizes=(7, 8), samples_per_size=5000)
+    result = run_pair_extension_sweep()
     ok = result.graphs == 33866 + 10000 and result.all_hold
     report(
         "pair-extension-witness",

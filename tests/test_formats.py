@@ -184,7 +184,7 @@ def test_graph_round_trip_property(data):
     n = data.draw(st.integers(1, 6))
     all_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = data.draw(st.lists(st.sampled_from(all_edges), unique=True, max_size=len(all_edges)) if all_edges else st.just([]))
-    g = Graph.from_edges(n, edges)
+    g = Graph(n, edges)
     assert parse_graph(format_graph(g)) == g
 
 

@@ -20,8 +20,8 @@ def test_special_vertices_layout():
 
 
 def test_special_vertices_match_hand_written_x0():
-    matrices = matsui_instance_family() + [infeasible_four_by_four()]
-    assert len(matrices) == 1074
+    matrices = matsui_instance_family()
+    assert len(matrices) == 1073
     for a in matrices:
         x0, x0bar = special_vertices(a)
         assert x0 == reduction_reference.special_x0(a)
@@ -45,6 +45,16 @@ def test_infeasible_instance_is_segment():
     assert report.special_adjacent
     assert report.criterion_holds
     assert report.vertex_count == 2
+
+
+def test_width_three_instances_have_a_partition():
+    # (1, 1, 1) is the one weight-three row of width three, so each
+    # instance repeats it and (1, 1, 1) is always a partition
+    for m in (1, 2):
+        for a in three_ones_matrices(3, m):
+            report = matsui_check(a)
+            assert report.criterion_holds
+            assert not report.part_empty
 
 
 def test_two_row_instance():

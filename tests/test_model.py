@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import permutations, product
 from pathlib import Path
 
 import fraction_reference
@@ -39,6 +40,7 @@ from polyadj.model import (
     stable_edge_masks,
     validate_code,
 )
+from polyadj.reductions import stable_to_part
 
 
 def test_matrix_from_rows_normalizes():
@@ -82,16 +84,32 @@ def test_as_bits_takes_only_the_ints_0_and_1(values):
 
 
 def test_graph_normalizes_edges():
-    g = Graph.from_edges(4, [(2, 0), (3, 1)])
+    g = Graph(4, [(2, 0), (3, 1)])
     assert g.edges == ((0, 2), (1, 3))
     assert g.edge_count == 2
 
 
 def test_graph_rejects_bad_edges():
-    with pytest.raises(InputError):
-        Graph.from_edges(2, [(0, 0)])
-    with pytest.raises(InputError):
-        Graph.from_edges(2, [(0, 2)])
+    with pytest.raises(InputError, match=r"^self-loop at vertex 0$"):
+        Graph(2, [(0, 0)])
+    with pytest.raises(InputError, match=r"^edge \(0, 2\) has an endpoint outside 0\.\.1$"):
+        Graph(2, [(0, 2)])
+    with pytest.raises(InputError, match=r"^edge \(-1, 0\) has an endpoint outside 0\.\.1$"):
+        Graph(2, [(0, -1)])
+    with pytest.raises(InputError, match=r"^duplicate edge \(0, 1\)$"):
+        Graph(2, [(0, 1), (1, 0)])
+
+
+def test_equal_edge_sets_give_equal_graphs():
+    edges = [(0, 1), (1, 2), (0, 3)]
+    reference = Graph(4, tuple(sorted(edges)))
+    for order in permutations(edges):
+        for flips in product((False, True), repeat=len(edges)):
+            g = Graph(4, [(v, u) if f else (u, v) for (u, v), f in zip(order, flips)])
+            assert g == reference
+            assert hash(g) == hash(reference)
+            assert g.edges == ((0, 1), (0, 3), (1, 2))
+            assert stable_to_part(g) == stable_to_part(reference)
 
 
 @pytest.mark.parametrize(
@@ -142,7 +160,7 @@ def test_bits_at_zero_and_cap_dimension():
 
 
 def test_stable_edge_masks_follow_constraint_rows():
-    g = Graph.from_edges(4, [(0, 1), (2, 3), (0, 3)])
+    g = Graph(4, [(0, 1), (2, 3), (0, 3)])
     masks = stable_edge_masks(g)
     assert masks == [0b1100, 0b1001, 0b0011]
     for word in range(16):
@@ -159,7 +177,7 @@ def test_dimension_per_family():
     assert dimension(npadj(a)) == 12
     b = BinaryMatrix.from_rows([[1, 1, 1, 1]])
     assert dimension(dcp(b)) == 4
-    assert dimension(stable(Graph.from_edges(5, [(0, 1)]))) == 5
+    assert dimension(stable(Graph(5, [(0, 1)]))) == 5
 
 
 def test_validate_code_errors():
@@ -189,7 +207,7 @@ def test_membership_checks_dimension():
 
 
 def test_membership_stable():
-    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    g = Graph(3, [(0, 1), (1, 2)])
     assert membership(stable(g), (1, 0, 1))
     assert not membership(stable(g), (1, 1, 0))
 

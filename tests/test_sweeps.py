@@ -1,68 +1,24 @@
-"""Small-scale runs of the batch sweep drivers.
-
-The acceptance suite runs these at full size; here each driver gets a
-reduced workload so regressions surface quickly.
+"""The parts of the sweeps: the instance family, the oracles the
+adjacency sweeps check against, the equal-sum class walk and the
+command line.  The acceptance suite runs the sweeps themselves.
 """
 
 from itertools import combinations
 
 from polyadj import sweeps
-from polyadj.generators import three_ones_matrices
-from polyadj.hull import enumerate_vertices
+from polyadj.generators import all_graphs, infeasible_four_by_four
+from polyadj.hull import enumerate_vertices, vertex_words
 from polyadj.matsui import special_vertices
-from polyadj.model import BinaryMatrix, Graph, dcp, npadj, stable
-from polyadj.sweeps import (
-    family_vertex_sets,
-    matsui_instance_family,
-    run_adjacency_crosscheck,
-    run_chain_sweep,
-    run_face_corollary_sweep,
-    run_family_midpoint_sweep,
-    run_hull_crosscheck,
-    run_matsui_sweep,
-    run_pair_extension_sweep,
-)
+from polyadj.model import BinaryMatrix, Graph, bits_from_int, dcp, npadj, stable
+from polyadj.sweeps import family_vertex_sets, matsui_instance_family
 
 
 def test_instance_family_is_deduplicated_and_large():
     fam = matsui_instance_family()
     assert len(fam) == len(set(fam))
     assert len(fam) == 1073
+    assert infeasible_four_by_four() in fam
     assert all(all(sum(row) == 3 for row in a.rows) for a in fam)
-
-
-def test_matsui_sweep_on_width_three():
-    matrices = list(three_ones_matrices(3, 1)) + list(three_ones_matrices(3, 2))
-    report = run_matsui_sweep(matrices)
-    assert report.instances == len(matrices)
-    assert report.all_hold
-    assert not report.failures
-    # width three leaves no room for a second disjoint triple, so only
-    # the single-row instances can have a partition
-    assert report.part_empty_instances == 0
-
-
-def test_chain_sweep_small():
-    # only graphs with at least one edge admit the covering reduction
-    report = run_chain_sweep((2, 3))
-    assert report.graphs == 1 + 7
-    assert report.checks > 0
-    assert report.all_hold
-
-
-def test_hull_crosscheck_small():
-    report = run_hull_crosscheck(60, seed=7, max_dim=3, max_vertices=6)
-    assert report.queries == 60
-    assert report.disagreements == 0
-    assert 0 < report.inside_answers < 60
-    assert report.all_hold
-
-
-def test_adjacency_crosscheck_small():
-    report = run_adjacency_crosscheck(10, seed=11)
-    assert report.vertex_sets == 10
-    assert report.pairs > 0
-    assert report.all_hold
 
 
 def test_family_vertex_sets_cover_every_family():
@@ -79,7 +35,7 @@ def test_family_rules_on_known_polytopes():
     for u, v in combinations(cube, 2):
         assert chvatal(u, v) == (sum(a != b for a, b in zip(u, v)) == 1)
     # on the path 0-1-2, {0} xor {2} is not connected, {0, 2} xor {1} is
-    path = enumerate_vertices(stable(Graph.from_edges(3, [(0, 1), (1, 2)])))
+    path = enumerate_vertices(stable(Graph(3, [(0, 1), (1, 2)])))
     chvatal = sweeps._chvatal_rule(path)
     assert not chvatal((1, 0, 0), (0, 0, 1))
     assert chvatal((1, 0, 1), (0, 1, 0))
@@ -95,21 +51,17 @@ def test_family_rules_on_known_polytopes():
     assert not midpoint(*special_vertices(a))
 
 
-def test_pair_extension_sweep_tiny():
-    report = run_pair_extension_sweep(
-        4, sampled_sizes=(), samples_per_size=0, triple_budget=4
-    )
-    assert report.graphs == 2 + 8 + 64
-    assert report.buckets > 0
-    assert report.families > 0
-    assert report.all_hold
-
-
-def test_face_corollary_sweep_tiny():
-    report = run_face_corollary_sweep((2, 3))
-    assert report.graphs == 10
-    assert report.subsets > 0
-    assert report.all_hold
+def test_equal_sum_classes_match_a_tuple_scan():
+    for g in all_graphs(4):
+        words = vertex_words(stable(g))
+        vertices = [bits_from_int(w, 4) for w in words]
+        scan: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for i, j in combinations(range(len(vertices)), 2):
+            total = tuple(a + b for a, b in zip(vertices[i], vertices[j]))
+            scan.setdefault(total, []).append((i, j))
+        # the packing puts coordinate 0 lowest, so sums sort reversed
+        expected = sorted((t[::-1], t, p) for t, p in scan.items() if len(p) >= 3)
+        assert list(sweeps._equal_sum_classes(words, 4)) == [(t, p) for _, t, p in expected]
 
 
 def test_entry_point_runs_one_sweep(capsys):
@@ -120,6 +72,6 @@ def test_entry_point_runs_one_sweep(capsys):
 
 def test_entry_point_exits_one_on_failure(monkeypatch, capsys):
     failed = sweeps.ChainSweepResult(graphs=1, checks=4, failures=["npadj-dcp failed on G"])
-    monkeypatch.setitem(sweeps._SWEEPS, "chain", lambda tick: {"chain": failed})
+    monkeypatch.setitem(sweeps._SWEEPS, "chain", {"chain": lambda progress: failed})
     assert sweeps.main(["chain"]) == 1
     assert "chain.failures: 1\n  npadj-dcp failed on G\n" in capsys.readouterr().out

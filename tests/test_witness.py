@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -27,7 +28,7 @@ from polyadj.witness import (
     refute_face,
 )
 
-CUBE = Graph.from_edges(3, [])
+CUBE = Graph(3, [])
 CUBE_PAIRS = [
     ((0, 0, 0), (1, 1, 1)),
     ((1, 1, 0), (0, 0, 1)),
@@ -102,7 +103,7 @@ def test_unequal_sums():
 
 
 def test_not_in_stable_polytope():
-    g = Graph.from_edges(3, [(0, 1)])
+    g = Graph(3, [(0, 1)])
     with pytest.raises(NotInStablePolytope):
         build_pair_family(g, CUBE_PAIRS)
 
@@ -114,7 +115,7 @@ def test_duplicate_pairs():
 
 
 def test_degenerate_pair():
-    g = Graph.from_edges(2, [])
+    g = Graph(2, [])
     pairs = [
         ((0, 1), (0, 1)),
         ((0, 0), (0, 0)),
@@ -147,7 +148,7 @@ def test_whole_cube_pair_family_has_no_witness():
 
 
 def test_even_family_of_six_succeeds():
-    g = Graph.from_edges(4, [])
+    g = Graph(4, [])
     supports = [
         {0, 1},
         {0, 2},
@@ -174,7 +175,7 @@ def test_pair_extension_oracle_cube():
 
 
 def test_pair_extension_oracle_edge():
-    g = Graph.from_edges(2, [(0, 1)])
+    g = Graph(2, [(0, 1)])
     assert pair_extension_oracle(g, (1, 1)) == [((0, 1), (1, 0))]
 
 
@@ -189,8 +190,38 @@ def test_pair_extension_oracle_validates_sums():
         pair_extension_oracle(CUBE, (1, 1))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: refute_face(CUBE, 5), "pair family 5 is not a sequence", id="family-int"),
+        pytest.param(lambda: refute_face(CUBE, [5, 6, 7]), "family entry 0 is not a pair: 5", id="pair-int"),
+        pytest.param(
+            lambda: refute_face(CUBE, [p + ((0, 0, 0),) for p in CUBE_PAIRS]),
+            "family entry 0 is not a pair: ((0, 0, 0), (1, 1, 1), (0, 0, 0))",
+            id="triples",
+        ),
+        pytest.param(
+            lambda: pair_extension_oracle(CUBE, 5), "coordinate sum 5 is not a sequence", id="sum-int"
+        ),
+        pytest.param(
+            lambda: pair_extension_oracle(Graph(2, ()), ("1", 1)),
+            "coordinate sums must be 0, 1, or 2, got '1'",
+            id="sum-str",
+        ),
+        pytest.param(
+            lambda: pair_extension_oracle(Graph(2, ()), (1.0, 1)),
+            "coordinate sums must be 0, 1, or 2, got 1.0",
+            id="sum-float",
+        ),
+    ],
+)
+def test_malformed_input_is_input_error(call, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_refutation_witness_is_new_and_valid():
-    g = Graph.from_edges(4, [(0, 1)])
+    g = Graph(4, [(0, 1)])
     verts = enumerate_vertices(stable(g))
     pairs = pair_extension_oracle(g, (1, 1, 1, 1))
     assert len(pairs) >= 3
@@ -237,7 +268,7 @@ def witness_cases(draw):
     nv = draw(st.sampled_from(range(9)) | st.sampled_from(range(4, 9)))
     slots = list(combinations(range(nv), 2))
     edges = draw(st.lists(st.sampled_from(slots), unique=True)) if slots else []
-    g = Graph.from_edges(nv, edges)
+    g = Graph(nv, edges)
     verts = enumerate_vertices(stable(g))
     classes: dict[tuple[int, ...], list] = {}
     for u, v in combinations(verts, 2):
