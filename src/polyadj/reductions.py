@@ -4,18 +4,19 @@ Three building blocks: stable-set polytopes embed into partition
 polytopes by appending one slack per edge; partition polytopes embed
 into the adjacency family as the coordinate slice y1=0, y2=1, y3=1;
 the adjacency family embeds into the double-cover family by pinning
-two fresh coordinates a=0, b=1.  Each reduction carries its affine map
-and the coordinate fixes that cut its image out of the target, and
-composes with the others.
+two fresh coordinates a=0, b=1.  A reduction is its source, target and
+affine map; the coordinate fixes that cut its image out of the target
+are the map's constant rows, and reductions compose as maps.
 
 verify_reduction replays a reduction exhaustively on enumerated vertex
-sets: the image must equal the declared face slice, the map must be
-injective, and the slice must be supported as a face of the target.
+sets: the image must equal the face slice, the map must be injective,
+and the slice must be supported as a face of the target.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 from .errors import CoordinateOutOfRange, EmptyGraph, InputError, NoEdges
@@ -27,6 +28,8 @@ from .model import (
     Bits,
     Graph,
     PolytopeCode,
+    as_index,
+    as_tuple,
     constraint_rows,
     dcp,
     dimension,
@@ -38,20 +41,22 @@ from .model import (
 
 @dataclass(frozen=True)
 class ReductionArtifact:
-    """A reduction: an affine map onto a coordinate slice of the target.
-
-    face_fixes lists (coordinate, value) pairs; the image of the source
-    vertex set is exactly the set of target vertices satisfying them
-    (no fixes means the map is onto the whole target vertex set).
-    coord_embedding records where each source coordinate reappears in
-    the target, which is what lets artifacts compose.
-    """
+    """A reduction: an affine map onto a coordinate slice of the target."""
 
     source: PolytopeCode
     target: PolytopeCode
     amap: AffineMap
-    face_fixes: tuple[tuple[int, int], ...]
-    coord_embedding: tuple[int, ...]
+
+    @property
+    def face_fixes(self) -> tuple[tuple[int, int], ...]:
+        """(coordinate, value) for each target coordinate the map holds
+        constant, in coordinate order; the image of the source vertex
+        set is exactly the set of target vertices satisfying them (no
+        fixes means the map is onto the whole target vertex set)."""
+        return tuple(
+            (t, c) for t, (row, c) in enumerate(zip(self.amap.matrix, self.amap.offset))
+            if not any(row)
+        )
 
 
 @dataclass(frozen=True)
@@ -59,8 +64,6 @@ class ReductionReport:
     image_equals_face_slice: bool
     injective: bool
     face_is_supported: bool
-    source_dim: int
-    target_dim: int
 
     @property
     def ok(self) -> bool:
@@ -72,8 +75,8 @@ def stable_to_part(g: Graph) -> ReductionArtifact:
 
     The target matrix has one row per edge {u, v} with ones at u, v, and
     a fresh slack column; a stable vertex x maps to (x, slack) with
-    slack_e = 1 - x_u - x_v.  The image is the entire target vertex set,
-    so the face fixes are empty.
+    slack_e = 1 - x_u - x_v.  No map row is constant, so the image is
+    the entire target vertex set.
     """
     if g.vertex_count == 0:
         raise EmptyGraph()
@@ -93,8 +96,6 @@ def stable_to_part(g: Graph) -> ReductionArtifact:
         source=stable(g),
         target=part(BinaryMatrix(tuple(rows), nv + ne)),
         amap=AffineMap(map_rows, [0] * nv + [1] * ne),
-        face_fixes=(),
-        coord_embedding=tuple(range(nv)),
     )
 
 
@@ -125,8 +126,6 @@ def part_to_npadj(a: BinaryMatrix) -> ReductionArtifact:
         source=part(a),
         target=target,
         amap=AffineMap(map_rows, offset),
-        face_fixes=((0, 0), (1, 1), (2, 1)),
-        coord_embedding=tuple(x for x, _ in pairs),
     )
 
 
@@ -141,52 +140,36 @@ def npadj_to_dcp(a: BinaryMatrix) -> ReductionArtifact:
     """
     source = npadj(a)
     d = dimension(source)
-    embedding = tuple(range(2, d + 2))
     b_rows = []
     for support, lo, _ in constraint_rows(source):
         row = [0] * (d + 2)
         if lo == 1:
             row[0] = row[1] = 1
         for i in support:
-            row[embedding[i]] = 1
+            row[2 + i] = 1
         b_rows.append(tuple(row))
     b = BinaryMatrix(tuple(b_rows), d + 2)
 
     map_rows = [[0] * d for _ in range(d + 2)]
-    for i, target in enumerate(embedding):
-        map_rows[target][i] = 1
+    for i in range(d):
+        map_rows[2 + i][i] = 1
     return ReductionArtifact(
         source=source,
         target=dcp(b),
         amap=AffineMap(map_rows, [0, 1] + [0] * d),  # a = 0, b = 1
-        face_fixes=((0, 0), (1, 1)),
-        coord_embedding=embedding,
     )
 
 
 def compose(first: ReductionArtifact, second: ReductionArtifact) -> ReductionArtifact:
-    """The reduction running first, then second.
-
-    Requires second's source code to be first's target code.  First's
-    face fixes are pushed through second's coordinate embedding, which
-    is exact because every reduction here re-emits its source
-    coordinates verbatim somewhere in its target.
-    """
+    """The reduction running first, then second; second's source code
+    must be first's target code."""
     if second.source != first.target:
         raise InputError("reductions do not chain: target and source codes differ")
-    fixes = second.face_fixes + tuple(
-        (second.coord_embedding[i], v) for i, v in first.face_fixes
-    )
-    return ReductionArtifact(
-        source=first.source,
-        target=second.target,
-        amap=second.amap.compose(first.amap),
-        face_fixes=fixes,
-        coord_embedding=tuple(second.coord_embedding[i] for i in first.coord_embedding),
-    )
+    return ReductionArtifact(first.source, second.target, second.amap.compose(first.amap))
 
 
-# the chain's stages by name, in chain order, which ChainArtifacts.stages relies on
+# the chain's stages by name, in chain order; each builder takes the
+# previous stage's target params (graph, then part matrix, then the same matrix)
 STAGE_BUILDERS: dict[str, Callable[..., ReductionArtifact]] = {
     "stable-part": stable_to_part,
     "part-npadj": part_to_npadj,
@@ -196,26 +179,21 @@ STAGE_BUILDERS: dict[str, Callable[..., ReductionArtifact]] = {
 
 @dataclass(frozen=True)
 class ChainArtifacts:
-    to_part: ReductionArtifact
-    to_npadj: ReductionArtifact
-    to_dcp: ReductionArtifact
+    stages: tuple[tuple[str, ReductionArtifact], ...]  # (name, artifact), in chain order
     composed: ReductionArtifact
-
-    @property
-    def stages(self) -> tuple[tuple[str, ReductionArtifact], ...]:
-        """(name, artifact) for each stage, in chain order."""
-        return tuple(zip(STAGE_BUILDERS, (self.to_part, self.to_npadj, self.to_dcp)))
 
 
 def reduction_chain(g: Graph) -> ChainArtifacts:
     """The full pipeline stable -> part -> npadj -> dcp plus its
     composition into a single artifact."""
-    s2p = stable_to_part(g)
-    a = s2p.target.params
-    p2n = part_to_npadj(a)
-    n2d = npadj_to_dcp(a)
-    composed = compose(compose(s2p, p2n), n2d)
-    return ChainArtifacts(s2p, p2n, n2d, composed)
+    stages = []
+    params = g
+    for name, build in STAGE_BUILDERS.items():
+        art = build(params)
+        stages.append((name, art))
+        params = art.target.params
+    composed = reduce(compose, (art for _, art in stages))
+    return ChainArtifacts(tuple(stages), composed)
 
 
 def face_slice(
@@ -227,13 +205,20 @@ def face_slice(
     """The sublist of enumerate_vertices(code) satisfying every
     coordinate fix, in the same lexicographic order."""
     d = dimension(code)
-    for i, v in fixes:
+    checked = []
+    for fix in as_tuple(fixes, "face fixes"):
+        try:
+            i, v = fix
+        except (TypeError, ValueError):
+            raise InputError(f"face fix {fix!r} is not a (coordinate, value) pair") from None
+        i, v = as_index(i, "fix coordinate"), as_index(v, "fix value")
         if not 0 <= i < d:
             raise CoordinateOutOfRange(i, d)
         if v not in (0, 1):
             raise InputError(f"fix value must be 0/1, got {v}")
+        checked.append((i, v))
     verts = enumerate_vertices(code, max_dim=max_dim)
-    return [x for x in verts if all(x[i] == v for i, v in fixes)]
+    return [x for x in verts if all(x[i] == v for i, v in checked)]
 
 
 def verify_reduction(
@@ -241,8 +226,8 @@ def verify_reduction(
 ) -> ReductionReport:
     """Replay a reduction on full enumerated vertex sets.
 
-    Checks that the image of the source vertex set equals the declared
-    face slice of the target, that the map is injective on it, and that
+    Checks that the image of the source vertex set equals the face
+    slice of the target, that the map is injective on it, and that
     the slice is supported as a face of the target vertex set.
     """
     source_verts = enumerate_vertices(artifact.source, max_dim=max_dim)
@@ -256,6 +241,4 @@ def verify_reduction(
         image_equals_face_slice=image_equals,
         injective=injective,
         face_is_supported=supported,
-        source_dim=dimension(artifact.source),
-        target_dim=dimension(artifact.target),
     )

@@ -122,7 +122,7 @@ def run_chain_sweep(*, progress: Progress | None = None) -> ChainSweepResult:
                 result.checks += 1
                 if not report.ok:
                     result.failures.append(f"{label} failed on {g}")
-            b = arts.to_dcp.target.params
+            b = arts.composed.target.params
             n = nv + g.edge_count
             m = g.edge_count
             if (b.nrows, b.ncols) != (2 * n + m, 3 * n + 5):

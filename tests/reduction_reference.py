@@ -4,9 +4,11 @@ differential tests.
 These are the hand-written builders of ``part_to_npadj`` and
 ``npadj_to_dcp``, with the adjacency-family layout spelled out
 coordinate by coordinate, that ``polyadj.reductions`` replaced by
-reading the coordinates off ``constraint_rows(npadj(a))``.  The derived
-artifacts must equal these: the same target code (the same matrix with
-the same row order), map, face fixes and coordinate embedding.
+reading the coordinates off ``constraint_rows(npadj(a))``.  Each
+returns its artifact together with the face fixes written out by hand.
+The derived artifacts must equal these: the same target code (the same
+matrix with the same row order) and map, and face fixes read off the
+map that equal the hand-written ones.
 
 Layout in dimension 3n + 3: y1 y2 y3 at 0-2, x_j at 3 + j, xbar_j at
 3 + n + j, xp_j at 3 + 2n + j.
@@ -14,6 +16,8 @@ Layout in dimension 3n + 3: y1 y2 y3 at 0-2, x_j at 3 + j, xbar_j at
 
 from polyadj.model import AffineMap, BinaryMatrix, dcp, npadj, part
 from polyadj.reductions import ReductionArtifact
+
+Fixes = tuple[tuple[int, int], ...]
 
 Y1, Y2, Y3 = 0, 1, 2
 
@@ -24,7 +28,7 @@ def special_x0(a: BinaryMatrix) -> tuple[int, ...]:
     return (0, 0, 0) + (0,) * n + (1,) * n + (1,) * n
 
 
-def part_to_npadj(a: BinaryMatrix) -> ReductionArtifact:
+def part_to_npadj(a: BinaryMatrix) -> tuple[ReductionArtifact, Fixes]:
     n = a.ncols
     dim = 3 * n + 3
     x, xbar, xp = 3, 3 + n, 3 + 2 * n
@@ -37,16 +41,11 @@ def part_to_npadj(a: BinaryMatrix) -> ReductionArtifact:
         map_rows[xbar + j][j] = -1
         offset[xbar + j] = 1
         map_rows[xp + j][j] = 1
-    return ReductionArtifact(
-        source=part(a),
-        target=npadj(a),
-        amap=AffineMap(map_rows, offset),
-        face_fixes=((Y1, 0), (Y2, 1), (Y3, 1)),
-        coord_embedding=tuple(x + j for j in range(n)),
-    )
+    art = ReductionArtifact(source=part(a), target=npadj(a), amap=AffineMap(map_rows, offset))
+    return art, ((Y1, 0), (Y2, 1), (Y3, 1))
 
 
-def npadj_to_dcp(a: BinaryMatrix) -> ReductionArtifact:
+def npadj_to_dcp(a: BinaryMatrix) -> tuple[ReductionArtifact, Fixes]:
     n = a.ncols
     dim = 3 * n + 3
     x, xbar, xp = 3, 3 + n, 3 + 2 * n
@@ -83,10 +82,5 @@ def npadj_to_dcp(a: BinaryMatrix) -> ReductionArtifact:
     offset[1] = 1
     for i in range(dim):
         map_rows[shifted(i)][i] = 1
-    return ReductionArtifact(
-        source=npadj(a),
-        target=dcp(b),
-        amap=AffineMap(map_rows, offset),
-        face_fixes=((0, 0), (1, 1)),
-        coord_embedding=tuple(shifted(i) for i in range(dim)),
-    )
+    art = ReductionArtifact(source=npadj(a), target=dcp(b), amap=AffineMap(map_rows, offset))
+    return art, ((0, 0), (1, 1))

@@ -334,7 +334,7 @@ def test_reduce_single_stage_verified_document(workdir, capsys):
     [("npadj-dcp", "single.mat", 1), ("chain", "edge3.graph", 4)],
 )
 def test_reduce_failed_verification_exits_one(workdir, capsys, monkeypatch, kind, name, checks):
-    failed = ReductionReport(False, True, True, source_dim=0, target_dim=0)
+    failed = ReductionReport(False, True, True)
     monkeypatch.setattr("polyadj.cli.verify_reduction", lambda art, max_dim: failed)
     rc, out = run(capsys, "reduce", kind, str(workdir / name), "--verify")
     assert rc == 1

@@ -35,9 +35,8 @@ def test_stable_to_part_single_edge():
     art = stable_to_part(EDGE)
     assert art.target.family == "part"
     assert art.target.params.rows == ((1, 1, 1),)
-    report = verify_reduction(art)
-    assert report.ok
-    assert report.source_dim == 2 and report.target_dim == 3
+    assert art.face_fixes == ()
+    assert verify_reduction(art).ok
 
 
 def test_stable_to_part_path():
@@ -79,22 +78,20 @@ def test_part_to_npadj_matches_hand_written_layout():
     assert len(FAMILY) == 1073
     for a in FAMILY:
         derived = part_to_npadj(a)
-        reference = reduction_reference.part_to_npadj(a)
+        reference, fixes = reduction_reference.part_to_npadj(a)
         assert derived.target == reference.target
         assert derived.amap == reference.amap
-        assert derived.face_fixes == reference.face_fixes
-        assert derived.coord_embedding == reference.coord_embedding
+        assert derived.face_fixes == fixes
 
 
 def test_npadj_to_dcp_matches_hand_written_layout():
     assert len(FAMILY) == 1073
     for a in FAMILY:
         derived = npadj_to_dcp(a)
-        reference = reduction_reference.npadj_to_dcp(a)
+        reference, fixes = reduction_reference.npadj_to_dcp(a)
         assert derived.target == reference.target
         assert derived.amap == reference.amap
-        assert derived.face_fixes == reference.face_fixes
-        assert derived.coord_embedding == reference.coord_embedding
+        assert derived.face_fixes == fixes
 
 
 def test_composed_chain_map_matches_fraction_reference():
@@ -103,7 +100,7 @@ def test_composed_chain_map_matches_fraction_reference():
     for g in graphs:
         arts = reduction_chain(g)
         ref = None
-        for art in (arts.to_part, arts.to_npadj, arts.to_dcp):
+        for _, art in arts.stages:
             stage = fraction_reference.AffineMap.from_int_rows(art.amap.matrix, art.amap.offset)
             ref = stage if ref is None else stage.compose(ref)
         composed = arts.composed.amap
@@ -112,13 +109,15 @@ def test_composed_chain_map_matches_fraction_reference():
         assert [[str(c) for c in row] for row in composed.matrix] == [
             [str(c) for c in row] for row in ref.matrix
         ]
+        assert arts.composed.face_fixes == ((0, 0), (1, 1), (2, 0), (3, 1), (4, 1))
 
 
 def test_chain_on_single_edge():
     arts = reduction_chain(EDGE)
     b = arts.composed.target.params
     assert (b.nrows, b.ncols) == (7, 14)
-    for art in (arts.to_part, arts.to_npadj, arts.to_dcp, arts.composed):
+    assert [name for name, _ in arts.stages] == ["stable-part", "part-npadj", "npadj-dcp"]
+    for art in (*(art for _, art in arts.stages), arts.composed):
         assert verify_reduction(art, max_dim=40).ok
 
 
@@ -167,6 +166,25 @@ def test_face_slice_selects_fixed_coordinates():
         face_slice(art.target, ((99, 0),))
 
 
+@pytest.mark.parametrize(
+    "fixes, message",
+    [
+        (((1.0, 0),), "fix coordinate 1.0 is not an integer"),
+        (((0, 0.5),), "fix value 0.5 is not an integer"),
+        (((0, 2),), "fix value must be 0/1"),
+        (5, "face fixes 5 is not a sequence"),
+        (((0,),), r"face fix \(0,\) is not a \(coordinate, value\) pair"),
+        (((0, 0, 1),), r"face fix \(0, 0, 1\) is not a \(coordinate, value\) pair"),
+        ((7,), "face fix 7 is not a"),
+    ],
+    ids=["coordinate-float", "value-float", "value-2", "not-a-sequence", "short", "long", "entry-int"],
+)
+def test_face_slice_refuses_malformed_fixes(fixes, message):
+    code = part_to_npadj(BinaryMatrix.from_rows([[1, 1, 1]])).target
+    with pytest.raises(InputError, match=message):
+        face_slice(code, fixes)
+
+
 def test_corrupted_map_fails_verification():
     art = stable_to_part(EDGE)
     zero = AffineMap(
@@ -176,8 +194,11 @@ def test_corrupted_map_fails_verification():
     assert not verify_reduction(broken).ok
 
 
-def test_corrupted_fixes_fail_verification():
+def test_corrupted_offset_fails_verification():
     a = BinaryMatrix.from_rows([[1, 1, 1]])
     art = part_to_npadj(a)
-    broken = dataclasses.replace(art, face_fixes=((0, 1), (1, 0), (2, 0)))
+    offset = list(art.amap.offset)
+    offset[0] = 1  # y1 held at 1 instead of 0
+    broken = dataclasses.replace(art, amap=AffineMap(art.amap.matrix, offset))
+    assert broken.face_fixes == ((0, 1), (1, 1), (2, 1))
     assert not verify_reduction(broken).ok
