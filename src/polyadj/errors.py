@@ -129,6 +129,11 @@ class DegeneratePair(InputError):
         super().__init__("pair 0 has equal members; no coordinate varies")
 
 
+class EvenFamilyBlocked(InputError):
+    def __init__(self) -> None:
+        super().__init__("every candidate collides; the excluded even-family pair blocks the search")
+
+
 # ---- file formats --------------------------------------------------------
 
 

@@ -20,12 +20,17 @@ def _lines(text: str) -> list[str]:
     return [ln.strip() for ln in text.splitlines() if ln.strip()]
 
 
+def _naturals(tokens: list[str]) -> bool:
+    # str.isdigit alone passes other scripts' digits and superscripts
+    return all(tok.isascii() and tok.isdigit() for tok in tokens)
+
+
 def parse_matrix(text: str) -> BinaryMatrix:
     lines = _lines(text)
     if not lines:
         raise FormatError("empty matrix payload")
     header = lines[0].split()
-    if len(header) != 2 or not all(tok.isdigit() for tok in header):
+    if len(header) != 2 or not _naturals(header):
         raise FormatError(f"matrix header must be 'm n', got {lines[0]!r}")
     m, n = int(header[0]), int(header[1])
     if len(lines) - 1 != m:
@@ -36,8 +41,6 @@ def parse_matrix(text: str) -> BinaryMatrix:
         if len(toks) != n or any(tok not in ("0", "1") for tok in toks):
             raise FormatError(f"bad matrix row {ln!r}: need {n} 0/1 tokens")
         rows.append(tuple(int(tok) for tok in toks))
-    if n < 1:
-        raise FormatError("matrix needs at least one column")
     return BinaryMatrix(tuple(rows), n)
 
 
@@ -52,7 +55,7 @@ def parse_graph(text: str) -> Graph:
     if not lines:
         raise FormatError("empty graph payload")
     header = lines[0].split()
-    if len(header) != 3 or header[0] != "p" or not all(tok.isdigit() for tok in header[1:]):
+    if len(header) != 3 or header[0] != "p" or not _naturals(header[1:]):
         raise FormatError(f"graph header must be 'p <vertices> <edges>', got {lines[0]!r}")
     nv, ne = int(header[1]), int(header[2])
     if len(lines) - 1 != ne:
@@ -61,7 +64,7 @@ def parse_graph(text: str) -> Graph:
     seen = set()
     for ln in lines[1:]:
         toks = ln.split()
-        if len(toks) != 3 or toks[0] != "e" or not all(tok.isdigit() for tok in toks[1:]):
+        if len(toks) != 3 or toks[0] != "e" or not _naturals(toks[1:]):
             raise FormatError(f"bad edge line {ln!r}: need 'e u v'")
         u, v = int(toks[1]), int(toks[2])
         if not (1 <= u <= nv and 1 <= v <= nv):

@@ -328,7 +328,7 @@ def is_face(face: Sequence[Bits], vertices: Sequence[Bits]) -> FaceCertificate |
     """
     vert_list = _vertex_rows(vertices)
     d = len(vert_list[0]) if vert_list else 0
-    face_list = _vertex_rows(face, d)
+    face_list = _vertex_rows(face, d if vert_list else None)
     face_set = set(face_list)
     if len(face_set) != len(face_list):
         raise InputError("face subset contains duplicates")

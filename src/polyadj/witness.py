@@ -36,6 +36,7 @@ from .errors import (
     DegeneratePair,
     DimensionMismatch,
     DuplicatePairs,
+    EvenFamilyBlocked,
     InputError,
     InvariantViolation,
     MembershipViolation,
@@ -73,27 +74,19 @@ def _index_set(word: int, d: int) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class PairFamily:
-    """A validated, oriented family of distinct equal-sum stable pairs.
+    """A validated family of distinct equal-sum stable pairs, as words.
 
-    pairs holds every input pair, oriented so the designated member has
-    a one at j0, and words the same pairs as int words; twos and ones
-    are the words of the coordinates where the common sum is two and
-    one.  working counts the prefix actually searched (the whole family
-    when its size is odd, one less when even, keeping the parity
-    argument available).  The views total, fixed (the frozen coordinate
-    set), active (its complement, the set of ones) and indicator
-    (indicator[i] the active support of pair i's designated member) are
-    derived from the words.
+    words holds every input pair as two int words, oriented so the
+    designated member has a one at the smallest active coordinate; twos
+    and ones are the words of the coordinates where the common sum is
+    two and one.  The views total (the sum vector) and active (the
+    coordinates summing to one) are derived from them.
     """
 
     graph: Graph
-    pairs: tuple[Pair, ...]
     words: tuple[tuple[int, int], ...]
     twos: int
     ones: int
-    j0: int
-    k: int
-    working: int
 
     @property
     def total(self) -> tuple[int, ...]:
@@ -103,17 +96,8 @@ class PairFamily:
         )
 
     @property
-    def fixed(self) -> frozenset[int]:
-        return _index_set(~self.ones, self.graph.vertex_count)
-
-    @property
     def active(self) -> frozenset[int]:
         return _index_set(self.ones, self.graph.vertex_count)
-
-    @property
-    def indicator(self) -> tuple[frozenset[int], ...]:
-        d = self.graph.vertex_count
-        return tuple(_index_set(y & self.ones, d) for y, _ in self.words)
 
 
 @dataclass(frozen=True)
@@ -144,15 +128,13 @@ def build_pair_family(graph: Graph, pairs: Sequence[tuple[Sequence[int], Sequenc
     Checks, in order: a sequence of at least three entries, each a
     pair, every member a stable-set vertex of the graph, equal
     coordinate sums, pairwise distinct pairs, and a nondegenerate lead
-    pair.  The orientation and the indicator sets are then forced, no
-    choices remain.
+    pair.  The orientation is then forced, no choices remain.
     """
     pairs = as_tuple(pairs, "pair family")
     if len(pairs) < 3:
         raise TooFewPairs(len(pairs))
     d = graph.vertex_count
     masks = stable_edge_masks(graph)
-    checked: list[Pair] = []
     words: list[tuple[int, int]] = []
     for idx, pair in enumerate(pairs):
         try:
@@ -165,7 +147,6 @@ def build_pair_family(graph: Graph, pairs: Sequence[tuple[Sequence[int], Sequenc
         uw, vw = bits_to_int(ub), bits_to_int(vb)
         if not (_is_stable(uw, masks) and _is_stable(vw, masks)):
             raise NotInStablePolytope(idx)
-        checked.append((ub, vb))
         words.append((uw, vw))
     u0, v0 = words[0]
     if u0 == v0:
@@ -175,26 +156,16 @@ def build_pair_family(graph: Graph, pairs: Sequence[tuple[Sequence[int], Sequenc
     for idx, (uw, vw) in enumerate(words):
         if uw & vw != twos or uw ^ vw != ones:
             raise UnequalSums(idx)
-    seen: set[tuple[int, int]] = set()
-    for idx, (uw, vw) in enumerate(words):
-        key = (uw, vw) if uw < vw else (vw, uw)
-        if key in seen:
-            raise DuplicatePairs(idx)
-        seen.add(key)
-    # j0, the smallest active coordinate, is the highest bit of ones
+    # orient at the smallest active coordinate, the top bit of ones;
+    # both orders of a pair orient alike, so a repeat is equal here
     j0_bit = 1 << (ones.bit_length() - 1)
-    oriented = [(p, w) if w[0] & j0_bit else (p[::-1], w[::-1]) for p, w in zip(checked, words)]
-    working = len(oriented) if len(oriented) % 2 == 1 else len(oriented) - 1
-    return PairFamily(
-        graph=graph,
-        pairs=tuple(p for p, _ in oriented),
-        words=tuple(w for _, w in oriented),
-        twos=twos,
-        ones=ones,
-        j0=d - ones.bit_length(),
-        k=(working - 1) // 2,
-        working=working,
-    )
+    oriented = tuple(w if w[0] & j0_bit else w[::-1] for w in words)
+    seen: set[tuple[int, int]] = set()
+    for idx, w in enumerate(oriented):
+        if w in seen:
+            raise DuplicatePairs(idx)
+        seen.add(w)
+    return PairFamily(graph=graph, words=oriented, twos=twos, ones=ones)
 
 
 def _find_t_word(family: PairFamily) -> tuple[int, int]:
@@ -203,33 +174,36 @@ def _find_t_word(family: PairFamily) -> tuple[int, int]:
     blocked = set(u)
     blocked.update(ones ^ x for x in u)
     u01 = u[0] ^ u[1]
-    for t in range(2, family.working):
+    # an odd family is searched whole, an even one without its last pair
+    working = len(u) if len(u) % 2 else len(u) - 1
+    for t in range(2, working):
         s = u01 ^ u[t]
         if s not in blocked:
             return t, s
-    if family.working < len(family.pairs):
-        raise InvariantViolation(
-            "every candidate collides; the excluded even-family pair blocks the search"
-        )
+    if working < len(u):
+        raise EvenFamilyBlocked()
     raise InvariantViolation("no valid symmetric difference found in an odd family")
 
 
 def find_t(family: PairFamily) -> tuple[int, frozenset[int]]:
     """Smallest t in 2..2k with S = U_0 xor U_1 xor U_t distinct from
-    every indicator and complement indicator in the whole family.
+    every indicator and complement indicator in the whole family (U_i
+    the active support of pair i's designated member, 2k+1 the size of
+    the searched prefix: the family, less its last pair when even).
 
     For an odd family this always succeeds: at most half the candidate
     indices can collide with an indicator (collisions pair up), and no
-    candidate ever collides with a complement because j0 lands in S.
-    An even family leaves one pair outside the searched prefix, and a
-    collision with that pair alone can be unavoidable; that raises
-    InvariantViolation, pointing at the excluded pair.
+    candidate ever collides with a complement because the smallest
+    active coordinate lands in S.  An even family can be blocked by its
+    excluded pair alone, as the 3-cube's four complementary pairs are;
+    the theorem does not cover it, so that raises EvenFamilyBlocked, an
+    InputError (exit 2 on the command line).
     """
     t, s = _find_t_word(family)
     return t, _index_set(s, family.graph.vertex_count)
 
 
-def _witness(family: PairFamily, s: int, s_set: frozenset[int], t: int | None) -> Witness:
+def _witness(family: PairFamily, s: int, t: int | None) -> tuple[Witness, tuple[int, int]]:
     ones = family.ones
     # the lead's frozen coordinates, with the active ones cleared
     frozen = family.words[0][0] & ~ones
@@ -241,7 +215,7 @@ def _witness(family: PairFamily, s: int, s_set: frozenset[int], t: int | None) -
         raise MembershipViolation("constructed pair member is not a stable-set vertex")
     if y_star & y_bar != family.twos or y_star ^ y_bar != ones:
         raise InvariantViolation("constructed pair breaks the common sum")
-    return Witness(y_star=y_star_bits, y_star_bar=y_bar_bits, t=t, s_set=s_set)
+    return Witness(y_star_bits, y_bar_bits, t, _index_set(s, d)), (y_star, y_bar)
 
 
 def construct_witness(
@@ -257,7 +231,7 @@ def construct_witness(
     if not s <= family.active:
         raise InputError("witness support must lie inside the active coordinate set")
     word = bits_to_int(tuple(int(i in s) for i in range(family.graph.vertex_count)))
-    return _witness(family, word, s, t)
+    return _witness(family, word, t)[0]
 
 
 def refute_face(
@@ -272,9 +246,8 @@ def refute_face(
     """
     family = build_pair_family(graph, pairs)
     t, s = _find_t_word(family)
-    witness = _witness(family, s, _index_set(s, graph.vertex_count), t)
-    pair = (witness.y_star, witness.y_star_bar)
-    if pair in family.pairs or pair[::-1] in family.pairs:
+    witness, pair = _witness(family, s, t)
+    if pair in family.words or pair[::-1] in family.words:
         raise InvariantViolation("witness pair duplicates an input pair")
     midpoint = tuple(map(_half, family.total))
     return Refutation(family=family, witness=witness, midpoint=midpoint)

@@ -393,6 +393,27 @@ def test_refute_face_input_errors(workdir, capsys):
     assert "at least three pairs" in out
 
 
+def test_refute_face_unrefuted_even_family_is_input_error(workdir, capsys):
+    # the theorem covers odd families; the 3-cube's four complementary
+    # pairs are even and leave no new pair, so the input is at fault
+    whole = workdir / "whole.pairs"
+    whole.write_text("000 111\n001 110\n010 101\n011 100\n")
+    rc, out = run(capsys, "refute-face", str(workdir / "free3.graph"), str(whole))
+    assert rc == 2
+    assert out == (
+        "status: input-error\n"
+        "error: every candidate collides; the excluded even-family pair blocks the search\n"
+    )
+
+
+def test_enumerate_matrix_without_columns_is_input_error(workdir, capsys):
+    empty = workdir / "zero.mat"
+    empty.write_text("0 0\n")
+    rc, out = run(capsys, "enumerate", "cover", str(empty))
+    assert rc == 2
+    assert out == "status: input-error\nerror: matrix needs at least one column\n"
+
+
 def test_reduce_rejects_wrong_row_weight(workdir, capsys):
     bad = workdir / "w2.mat"
     bad.write_text("1 3\n1 1 0\n")

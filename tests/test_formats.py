@@ -71,6 +71,22 @@ def test_matrix_rejects(doc):
         parse_matrix(doc)
 
 
+@pytest.mark.parametrize(
+    "parse, doc",
+    [
+        pytest.param(parse_matrix, "\u0661 1\n1\n", id="matrix-arabic-indic"),
+        pytest.param(parse_graph, "p 2 1\ne \u0661 2\n", id="edge-arabic-indic"),
+        pytest.param(parse_matrix, "\u00b2 1\n1\n", id="matrix-superscript"),
+        pytest.param(parse_graph, "p \u00b2 0\n", id="header-superscript"),
+        pytest.param(parse_graph, "p 3 1\ne 1 \u00b3\n", id="edge-superscript"),
+    ],
+)
+def test_counts_are_ascii_digits(parse, doc):
+    # str.isdigit() passes both kinds; int() reads Arabic-Indic digits, fails on superscripts
+    with pytest.raises(FormatError):
+        parse(doc)
+
+
 def test_graph_round_trip():
     g = parse_graph(GRAPH_DOC)
     assert g.vertex_count == 4

@@ -21,6 +21,7 @@ from polyadj.errors import (
 )
 from polyadj.generators import random_vertex_set
 from polyadj.hull import (
+    FaceCertificate,
     HullCertificate,
     _pruned_search,
     are_adjacent,
@@ -245,6 +246,22 @@ def test_is_face_rejects_non_subset():
     verts = enumerate_vertices(OCTA)
     with pytest.raises(NotASubset):
         is_face([(1, 0, 0, 0)], verts)
+
+
+@pytest.mark.parametrize(
+    "face, outcome",
+    [
+        pytest.param([(0, 1)], NotASubset, id="vertex"),
+        pytest.param([], FaceCertificate((), Fraction(1)), id="empty"),
+    ],
+)
+def test_is_face_of_no_vertices(face, outcome):
+    # the face is checked against its own length, not a dimension of 0
+    try:
+        got = is_face(face, [])
+    except InputError as exc:
+        got = type(exc)
+    assert got == outcome
 
 
 def test_is_face_rejects_duplicates():

@@ -11,6 +11,7 @@ from polyadj.errors import (
     DegeneratePair,
     DimensionMismatch,
     DuplicatePairs,
+    EvenFamilyBlocked,
     InputError,
     InvariantViolation,
     NotInStablePolytope,
@@ -19,7 +20,7 @@ from polyadj.errors import (
 )
 from polyadj.generators import all_graphs
 from polyadj.hull import enumerate_vertices
-from polyadj.model import Graph, stable
+from polyadj.model import Graph, bits_from_int, stable
 from polyadj.witness import (
     build_pair_family,
     construct_witness,
@@ -38,22 +39,16 @@ CUBE_PAIRS = [
 
 def test_cube_family_structure():
     family = build_pair_family(CUBE, CUBE_PAIRS)
-    assert family.fixed == frozenset()
+    # every pair oriented to a one at coordinate 0, the smallest active one
+    assert family.words == ((0b111, 0b000), (0b110, 0b001), (0b101, 0b010))
     assert family.active == {0, 1, 2}
-    assert family.j0 == 0
-    assert family.indicator == (
-        frozenset({0, 1, 2}),
-        frozenset({0, 1}),
-        frozenset({0, 2}),
-    )
-    assert family.k == 1
-    assert family.working == 3
+    assert family.total == (1, 1, 1)
 
 
 def test_cube_orientation_ignores_pair_order():
     shuffled = [(v, u) for u, v in CUBE_PAIRS]
     family = build_pair_family(CUBE, shuffled)
-    assert family.indicator == build_pair_family(CUBE, CUBE_PAIRS).indicator
+    assert family.words == build_pair_family(CUBE, CUBE_PAIRS).words
 
 
 def test_cube_find_t():
@@ -62,7 +57,9 @@ def test_cube_find_t():
     assert t == 2
     assert s_set == {0}
     universe = set()
-    for u in family.indicator:
+    for y, _ in family.words:
+        # the active support of the pair's designated member
+        u = frozenset(i for i, b in enumerate(bits_from_int(y & family.ones, 3)) if b)
         universe.add(u)
         universe.add(family.active - u)
     assert s_set not in universe
@@ -133,8 +130,8 @@ def test_dimension_mismatch():
 
 def test_whole_cube_pair_family_has_no_witness():
     # All four complementary pairs exhaust the vertex set; the whole
-    # polytope is an improper face of itself, so no new pair can exist
-    # and the search must report the obstruction.
+    # polytope is an improper face of itself, so no new pair can exist.
+    # The family is even, outside the theorem, so that is bad input.
     pairs = [
         ((0, 0, 0), (1, 1, 1)),
         ((0, 0, 1), (1, 1, 0)),
@@ -142,9 +139,12 @@ def test_whole_cube_pair_family_has_no_witness():
         ((0, 1, 1), (1, 0, 0)),
     ]
     family = build_pair_family(CUBE, pairs)
-    assert family.working == 3
-    with pytest.raises(InvariantViolation):
-        find_t(family)
+    assert len(family.words) == 4
+    for call in (lambda: find_t(family), lambda: refute_face(CUBE, pairs)):
+        with pytest.raises(EvenFamilyBlocked) as exc:
+            call()
+        assert isinstance(exc.value, InputError)
+        assert not isinstance(exc.value, InvariantViolation)
 
 
 def test_even_family_of_six_succeeds():
@@ -326,16 +326,21 @@ def _outcome(fn, *args):
 
 
 def _family_view(family):
-    fields = (
-        family.graph, family.pairs, family.total, family.fixed, family.active,
-        family.j0, family.indicator, family.k, family.working,
-    )
+    # the oriented pairs unpacked from the words, by the reference's own loop
+    d = family.graph.vertex_count
+    pairs = tuple((ref.bits_from_int(u, d), ref.bits_from_int(v, d)) for u, v in family.words)
+    fields = (family.graph, pairs, family.total, family.active)
     return fields, tuple(type(f) for f in fields)
 
 
-def _same(new, old, view=lambda x: x):
+def _reference_family_view(old):
+    fields = (old.graph, old.pairs, old.total, old.active)
+    return fields, tuple(type(f) for f in fields)
+
+
+def _same(new, old, view=lambda x: x, old_view=None):
     if new[0] == "ok" and old[0] == "ok":
-        assert view(new[1]) == view(old[1])
+        assert view(new[1]) == (old_view or view)(old[1])
     else:
         assert new == old
 
@@ -346,7 +351,7 @@ def test_matches_tuple_reference(case):
     g, pairs, support, sums = case
     new = _outcome(build_pair_family, g, pairs)
     old = _outcome(ref.build_pair_family, g, pairs)
-    _same(new, old, _family_view)
+    _same(new, old, _family_view, _reference_family_view)
     if new[0] == "ok":
         new_t, old_t = _outcome(find_t, new[1]), _outcome(ref.find_t, old[1])
         _same(new_t, old_t)
@@ -364,6 +369,7 @@ def test_matches_tuple_reference(case):
         _outcome(refute_face, g, pairs),
         _outcome(ref.refute_face, g, pairs),
         lambda r: (_family_view(r.family), r.witness, r.midpoint),
+        lambda r: (_reference_family_view(r.family), r.witness, r.midpoint),
     )
     _same(
         _outcome(pair_extension_oracle, g, sums),

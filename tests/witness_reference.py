@@ -15,6 +15,7 @@ from polyadj.errors import (
     DegeneratePair,
     DimensionMismatch,
     DuplicatePairs,
+    EvenFamilyBlocked,
     InputError,
     InvariantViolation,
     MembershipViolation,
@@ -120,9 +121,7 @@ def find_t(family):
         if all(s != u[p] and s != active - u[p] for p in range(len(u))):
             return t, s
     if family.working < len(family.pairs):
-        raise InvariantViolation(
-            "every candidate collides; the excluded even-family pair blocks the search"
-        )
+        raise EvenFamilyBlocked()
     raise InvariantViolation("no valid symmetric difference found in an odd family")
 
 
