@@ -6,12 +6,15 @@ document; ``--json`` switches to JSON with the same structure.  Indices
 on the wire (vertex positions, witness coordinates, face fixes) are
 1-based to match the file formats; the Python API stays 0-based.
 
-Exit codes: 0 ok, 1 property-failed, 2 input-error.
+Exit codes: 0 ok, 1 property-failed, 2 input-error.  The parser is built
+on the first ``main`` call and reused, so in-process callers may call
+``main`` repeatedly.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -61,7 +64,7 @@ def _scalar(value: Any) -> str:
     return str(value)
 
 
-def _render_lines(value: Any, indent: str) -> list[str]:
+def _render_lines(value: dict[str, Any] | list[Any], indent: str) -> list[str]:
     lines: list[str] = []
     if isinstance(value, dict):
         for key, item in value.items():
@@ -70,15 +73,13 @@ def _render_lines(value: Any, indent: str) -> list[str]:
                 lines.extend(_render_lines(item, indent + "  "))
             else:
                 lines.append(f"{indent}{key}: {_scalar(item)}")
-    elif isinstance(value, list):
+    else:
         for item in value:
             if isinstance(item, (dict, list)):
                 lines.append(f"{indent}-")
                 lines.extend(_render_lines(item, indent + "  "))
             else:
                 lines.append(f"{indent}- {_scalar(item)}")
-    else:
-        lines.append(f"{indent}{_scalar(value)}")
     return lines
 
 
@@ -181,7 +182,7 @@ def _cmd_matsui(args: argparse.Namespace) -> CommandResult:
 
 def _artifact_payload(art: ReductionArtifact) -> dict[str, Any]:
     matrix = art.target.params
-    payload: dict[str, Any] = {
+    return {
         "source": {"family": art.source.family, "dimension": dimension(art.source)},
         "target": {
             "family": art.target.family,
@@ -196,7 +197,6 @@ def _artifact_payload(art: ReductionArtifact) -> dict[str, Any]:
         },
         "face_fixes": [f"{i + 1}={v}" for i, v in art.face_fixes],
     }
-    return payload
 
 
 def _verification_payload(art: ReductionArtifact, max_dim: int) -> dict[str, Any]:
@@ -295,6 +295,7 @@ def _add_common(parser: argparse.ArgumentParser, *, max_dim: bool = True) -> Non
         )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyadj",
@@ -347,8 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if getattr(args, "max_dim", 0) > DEFAULT_ENUMERATION_CAP:
         sys.stderr.write(
             f"warning: enumeration cap raised to {args.max_dim}; dimensions above "

@@ -47,6 +47,12 @@ class NoEdges(InputError):
         super().__init__("graph must have at least one edge")
 
 
+class BadEdge(InputError):
+    def __init__(self, edge_index: int, reason: str) -> None:
+        super().__init__(reason)
+        self.edge_index = edge_index
+
+
 # ---- vectors and enumeration --------------------------------------------
 
 

@@ -23,6 +23,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 from .errors import (
+    BadEdge,
     DimensionMismatch,
     EmptyMatrix,
     InputError,
@@ -135,9 +136,9 @@ class Graph:
 
     Edges may come in any order and orientation; they are stored
     normalized (u < v) and sorted, so two graphs with the same edge set
-    compare and hash equal regardless of input order.  A self-loop, an
-    endpoint outside the vertices or a repeated edge, in either
-    orientation, is an InputError.
+    compare and hash equal regardless of input order.  An endpoint
+    outside the vertices, a self-loop or a repeated edge, in either
+    orientation, is a BadEdge naming the edge's position in the input.
     """
 
     vertex_count: int
@@ -148,16 +149,16 @@ class Graph:
         if n < 0:
             raise InputError("vertex count must be nonnegative")
         seen = set()
-        for u, v in self.edges:
+        for i, (u, v) in enumerate(self.edges):
             u, v = as_index(u, "edge endpoint"), as_index(v, "edge endpoint")
-            if u == v:
-                raise InputError(f"self-loop at vertex {u}")
             if u > v:
                 u, v = v, u
             if u < 0 or v >= n:
-                raise InputError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+                raise BadEdge(i, f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+            if u == v:
+                raise BadEdge(i, f"self-loop at vertex {u}")
             if (u, v) in seen:
-                raise InputError(f"duplicate edge ({u}, {v})")
+                raise BadEdge(i, f"duplicate edge ({u}, {v})")
             seen.add((u, v))
         object.__setattr__(self, "edges", tuple(sorted(seen)))
 

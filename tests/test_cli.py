@@ -6,10 +6,15 @@ rendered payload, since downstream tooling scrapes this output.
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import polyadj
 from polyadj import cli, hull
 from polyadj.cli import main
 from polyadj.reductions import ReductionReport
@@ -451,3 +456,75 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_bad_edge_is_input_error_naming_the_line(workdir, capsys):
+    bad = workdir / "dup.graph"
+    bad.write_text("p 3 2\ne 1 2\ne 2 1\n")
+    rc, out = run(capsys, "enumerate", "stable", str(bad))
+    assert rc == 2
+    assert out == "status: input-error\nerror: bad edge line 'e 2 1': duplicate edge (0, 1)\n"
+
+
+# ---- one parser per process ---------------------------------------------------
+
+_SRC = str(Path(polyadj.__file__).resolve().parents[1])
+
+
+def _fresh_process(*argv):
+    """Exit code and stdout of ``python -m polyadj.cli`` in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    done = subprocess.run(
+        [sys.executable, "-m", "polyadj.cli", *argv], env=env, capture_output=True, text=True
+    )
+    return done.returncode, done.stdout
+
+
+def test_repeated_commands_in_one_process_match_fresh_processes(workdir, capsys):
+    commands = [
+        ("enumerate", "dcp", str(workdir / "octa.mat")),
+        ("refute-face", str(workdir / "free3.graph"), str(workdir / "cube.pairs")),
+        ("adjacent", "dcp", str(workdir / "octa.mat"), "0011", "1100"),
+        ("enumerate", "stable", str(workdir / "edge3.graph")),
+    ]
+    in_process = [run(capsys, *argv, *flag) for argv in commands for flag in ((), ("--json",))]
+    fresh = [_fresh_process(*argv, *flag) for argv in commands for flag in ((), ("--json",))]
+    assert in_process == fresh
+    assert cli._build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("frobnicate",), ("enumerate", "dcp", "octa.mat", "--max-dim", "abc")],
+    ids=["unknown-command", "max-dim-not-an-int"],
+)
+def test_parser_error_leaves_the_parser_usable(workdir, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    capsys.readouterr()
+    rc, out = run(capsys, "enumerate", "dcp", str(workdir / "octa.mat"), "--count-only")
+    assert rc == 0
+    assert out == "status: ok\nfamily: dcp\ndimension: 4\ncount: 6\n"
+
+
+_BUILDS_AFTER_IMPORT = """
+import contextlib, io
+import polyadj.cli as cli
+print(cli._build_parser.cache_info().currsize)
+with contextlib.redirect_stdout(io.StringIO()):
+    for _ in range(3):
+        cli.main(["enumerate", "dcp", "octa.mat", "--count-only"])
+print(cli._build_parser.cache_info().misses)
+"""
+
+
+def test_import_leaves_the_parser_unbuilt(workdir):
+    # set-up pays for the import only; the first main call builds the
+    # parser and later calls reuse it
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", _BUILDS_AFTER_IMPORT],
+        cwd=workdir, env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "0\n1\n"

@@ -124,6 +124,24 @@ def test_graph_rejects(doc):
         parse_graph(doc)
 
 
+# the edge rule lives in Graph; parse_graph names the file line it broke
+@pytest.mark.parametrize(
+    "doc, line, reason",
+    [
+        ("p 3 1\ne 0 2\n", "e 0 2", "edge (-1, 1) has an endpoint outside 0..2"),
+        ("p 3 1\ne 2 4\n", "e 2 4", "edge (1, 3) has an endpoint outside 0..2"),
+        ("p 3 1\ne 3 3\n", "e 3 3", "self-loop at vertex 2"),
+        ("p 3 2\ne 1 3\ne 1 3\n", "e 1 3", "duplicate edge (0, 2)"),
+        ("p 3 2\ne 1 3\n  e 3 1 \n", "e 3 1", "duplicate edge (0, 2)"),
+    ],
+    ids=["endpoint-0", "endpoint-n+1", "self-loop", "duplicate", "duplicate-reversed"],
+)
+def test_graph_bad_edge_names_its_line(doc, line, reason):
+    with pytest.raises(FormatError) as exc:
+        parse_graph(doc)
+    assert str(exc.value) == f"bad edge line {line!r}: {reason}"
+
+
 def test_vertex_round_trip():
     assert parse_vertex("0110") == (0, 1, 1, 0)
     assert format_vertex((0, 1, 1, 0)) == "0110"
