@@ -65,7 +65,7 @@ def random_vertex_set(
 
 def odd_index_subsets(rng: random.Random, universe: int) -> list[tuple[int, ...]]:
     """Odd-size index subsets (size >= 3) of range(universe) for family
-    sampling: the first twelve triples, the largest odd proper prefix,
+    sampling: the first twelve triples, the largest odd prefix,
     and six random odd-size draws."""
     out: list[tuple[int, ...]] = list(islice(combinations(range(universe), 3), 12))
     largest = universe if universe % 2 == 1 else universe - 1

@@ -54,6 +54,15 @@ def as_index(value: int, what: str) -> int:
         raise InputError(f"{what} {value!r} is not an integer") from None
 
 
+def as_pair(value: Iterable, what: str, index: int) -> tuple:
+    """Entry index of an edge, pair or fix list as a 2-tuple; InputError if it is not one."""
+    try:
+        first, second = value
+    except (TypeError, ValueError):
+        raise InputError(f"{what} {index} is not a pair: {value!r}") from None
+    return first, second
+
+
 def as_bits(values: Iterable[int], dim: int | None = None) -> Bits:
     """The vertex as a tuple of the ints 0 and 1 (InputError for any other
     entry), of length dim when given (DimensionMismatch)."""
@@ -149,7 +158,8 @@ class Graph:
         if n < 0:
             raise InputError("vertex count must be nonnegative")
         seen = set()
-        for i, (u, v) in enumerate(self.edges):
+        for i, edge in enumerate(as_tuple(self.edges, "edge list")):
+            u, v = as_pair(edge, "edge", i)
             u, v = as_index(u, "edge endpoint"), as_index(v, "edge endpoint")
             if u > v:
                 u, v = v, u

@@ -29,6 +29,7 @@ from .model import (
     Graph,
     PolytopeCode,
     as_index,
+    as_pair,
     as_tuple,
     constraint_rows,
     dcp,
@@ -206,11 +207,8 @@ def face_slice(
     coordinate fix, in the same lexicographic order."""
     d = dimension(code)
     checked = []
-    for fix in as_tuple(fixes, "face fixes"):
-        try:
-            i, v = fix
-        except (TypeError, ValueError):
-            raise InputError(f"face fix {fix!r} is not a (coordinate, value) pair") from None
+    for idx, fix in enumerate(as_tuple(fixes, "face fixes")):
+        i, v = as_pair(fix, "face fix", idx)
         i, v = as_index(i, "fix coordinate"), as_index(v, "fix value")
         if not 0 <= i < d:
             raise CoordinateOutOfRange(i, d)

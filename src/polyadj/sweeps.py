@@ -19,9 +19,10 @@ import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import PolytopeError
+from .formats import format_vertex, rat_str
 from .generators import (
     all_graphs,
     odd_index_subsets,
@@ -69,11 +70,7 @@ def matsui_instance_family() -> list[BinaryMatrix]:
     """The deduplicated sweep family: every row multiset of weight-three
     rows for widths 3 to 5 and 1 to 4 rows, 1,073 matrices, the
     infeasible 4x4 instance among them."""
-    out: list[BinaryMatrix] = []
-    for n in (3, 4, 5):
-        for m in (1, 2, 3, 4):
-            out.extend(three_ones_matrices(n, m))
-    return out
+    return [a for n in (3, 4, 5) for m in (1, 2, 3, 4) for a in three_ones_matrices(n, m)]
 
 
 def run_matsui_sweep(*, progress: Progress | None = None) -> MatsuiSweepResult:
@@ -135,16 +132,24 @@ def run_chain_sweep(*, progress: Progress | None = None) -> ChainSweepResult:
 
 # ---- hull oracle crosschecks -----------------------------------------------
 
+Rule = Callable[[Bits, Bits], bool]
+# a vertex set and the factory that builds its adjacency rule
+RuleSet = tuple[list[Bits], Callable[[Sequence[Bits]], Rule]]
+
+
+def _vertex_list(vertices: Sequence[Bits]) -> str:
+    return "{" + " ".join(map(format_vertex, vertices)) + "}"
+
 
 @dataclass
 class HullCrosscheckResult:
     queries: int = 0
     inside_answers: int = 0
-    disagreements: int = 0
+    disagreements: list[str] = field(default_factory=list)
 
     @property
     def all_hold(self) -> bool:
-        return self.queries > 0 and self.disagreements == 0
+        return self.queries > 0 and not self.disagreements
 
 
 def run_hull_crosscheck(*, progress: Progress | None = None) -> HullCrosscheckResult:
@@ -176,7 +181,10 @@ def run_hull_crosscheck(*, progress: Progress | None = None) -> HullCrosscheckRe
         if fast is not None:
             result.inside_answers += 1
         if (fast is None) != (slow is None):
-            result.disagreements += 1
+            result.disagreements.append(
+                f"point ({' '.join(map(rat_str, point))}) in conv {_vertex_list(vertices)}: "
+                f"inside by LP {fast is not None}, by support search {slow is not None}"
+            )
         if result.queries % 200 == 0:
             _tick(progress, f"{result.queries} hull queries")
     return result
@@ -186,31 +194,51 @@ def run_hull_crosscheck(*, progress: Progress | None = None) -> HullCrosscheckRe
 class AdjacencyCrosscheckResult:
     vertex_sets: int = 0
     pairs: int = 0
-    disagreements: int = 0
+    disagreements: list[str] = field(default_factory=list)
 
     @property
     def all_hold(self) -> bool:
-        return self.pairs > 0 and self.disagreements == 0
+        return self.pairs > 0 and not self.disagreements
 
 
-def _segment_meets_rest(u: Bits, v: Bits, rest: Sequence[Bits]) -> bool:
-    """Independent non-adjacency oracle: does the segment [u, v] meet
-    conv(rest)?  One feasibility LP over convex weights on rest and a
-    two-sided split of the segment point."""
-    if not rest:
-        return False
-    d = len(u)
-    nw = len(rest)
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    for i in range(d):
-        rows.append([x[i] for x in rest] + [-u[i], -v[i]])
-        rhs.append(0)
-    rows.append([1] * nw + [0, 0])
-    rhs.append(1)
-    rows.append([0] * nw + [1, 1])
-    rhs.append(1)
-    return feasible_point(rows, rhs) is not None
+def _crosscheck(
+    sets: Iterable[RuleSet], what: str, progress: Progress | None
+) -> AdjacencyCrosscheckResult:
+    """Compare are_adjacent on every vertex pair of every set against
+    the rule the set's make_rule builds for it."""
+    result = AdjacencyCrosscheckResult()
+    for vertices, make_rule in sets:
+        result.vertex_sets += 1
+        rule = make_rule(vertices)
+        for u, v in combinations(vertices, 2):
+            adjacent = are_adjacent(vertices, u, v).adjacent
+            result.pairs += 1
+            if adjacent != rule(u, v):
+                result.disagreements.append(
+                    f"pair {format_vertex(u)} {format_vertex(v)} of {_vertex_list(vertices)}: "
+                    f"are_adjacent {adjacent}, {make_rule.__name__} {not adjacent}"
+                )
+        _tick(progress, f"{result.vertex_sets} {what}")
+    return result
+
+
+def _segment_rule(vertices: Sequence[Bits]) -> Rule:
+    """Independent adjacency rule: u and v are adjacent iff the segment
+    [u, v] misses conv(rest), rest the other vertices.  One feasibility
+    LP over convex weights on rest and a two-sided split of the segment
+    point."""
+
+    def adjacent(u: Bits, v: Bits) -> bool:
+        rest = [x for x in vertices if x != u and x != v]
+        if not rest:
+            return True
+        d = len(u)
+        rows = [[x[i] for x in rest] + [-u[i], -v[i]] for i in range(d)]
+        rows.append([1] * len(rest) + [0, 0])
+        rows.append([0] * len(rest) + [1, 1])
+        return feasible_point(rows, [0] * d + [1, 1]) is None
+
+    return adjacent
 
 
 def run_adjacency_crosscheck(*, progress: Progress | None = None) -> AdjacencyCrosscheckResult:
@@ -218,51 +246,39 @@ def run_adjacency_crosscheck(*, progress: Progress | None = None) -> AdjacencyCr
     criterion (some point of the open segment lies in the hull of the
     other vertices) on every vertex pair of 100 random sets (seed
     20260820) of 3 to 10 vertices in dimension 2 to 5."""
-    rng = random.Random(20260820)
-    result = AdjacencyCrosscheckResult()
-    for _ in range(100):
-        d = rng.randint(2, 5)
-        count = rng.randint(3, min(10, 1 << d))
-        vertices = random_vertex_set(rng, d, count)
-        result.vertex_sets += 1
-        for u, v in combinations(vertices, 2):
-            verdict = are_adjacent(vertices, u, v)
-            rest = [x for x in vertices if x != u and x != v]
-            by_segment = not _segment_meets_rest(u, v, rest)
-            result.pairs += 1
-            if verdict.adjacent != by_segment:
-                result.disagreements += 1
-        _tick(progress, f"{result.vertex_sets} vertex sets")
-    return result
+
+    def sets() -> Iterator[RuleSet]:
+        rng = random.Random(20260820)
+        for _ in range(100):
+            d = rng.randint(2, 5)
+            count = rng.randint(3, min(10, 1 << d))
+            yield random_vertex_set(rng, d, count), _segment_rule
+
+    return _crosscheck(sets(), "vertex sets", progress)
 
 
-def family_vertex_sets() -> list[tuple[str, list[Bits]]]:
-    """At least a hundred vertex sets drawn from the polytope families:
-    every stable-set polytope on 3 and 4 vertices, ten random graphs on
-    5 (seed 20260822), all single-row double-cover codes of width 4 to
-    6, and the single-row three-ones instances."""
+def family_vertex_sets() -> list[RuleSet]:
+    """At least a hundred vertex sets drawn from the polytope families,
+    each with the rule that decides its adjacency without an LP: every
+    stable-set polytope on 3 and 4 vertices and ten random graphs on 5
+    (seed 20260822) with Chvatal's criterion, all single-row
+    double-cover codes of width 4 to 6 with the product rule, and the
+    single-row three-ones instances with the midpoint rule."""
     rng = random.Random(20260822)
-    sets: list[tuple[str, list[Bits]]] = []
-    for nv in (3, 4):
-        for g in all_graphs(nv):
-            sets.append((f"stable{g}", enumerate_vertices(stable(g))))
-    for _ in range(10):
-        g = random_graph(rng, 5)
-        sets.append((f"stable{g}", enumerate_vertices(stable(g))))
-    for width in (4, 5, 6):
-        for sup in combinations(range(width), 4):
-            row = tuple(1 if i in sup else 0 for i in range(width))
-            code = dcp(BinaryMatrix.from_rows([row]))
-            sets.append((f"dcp{row}", enumerate_vertices(code)))
-    for width in (3, 4):
-        for sup in combinations(range(width), 3):
-            row = tuple(1 if i in sup else 0 for i in range(width))
-            code = npadj(BinaryMatrix.from_rows([row]))
-            sets.append((f"npadj{row}", enumerate_vertices(code)))
+    graphs = [*all_graphs(3), *all_graphs(4), *(random_graph(rng, 5) for _ in range(10))]
+    sets = [(enumerate_vertices(stable(g)), _chvatal_rule) for g in graphs]
+    for build, weight, widths, rule in (
+        (dcp, 4, (4, 5, 6), _product_rule),
+        (npadj, 3, (3, 4), _bruteforce_midpoint_rule),
+    ):
+        for width in widths:
+            for sup in combinations(range(width), weight):
+                row = tuple(1 if i in sup else 0 for i in range(width))
+                sets.append((enumerate_vertices(build(BinaryMatrix.from_rows([row]))), rule))
     return sets
 
 
-def _chvatal_rule(vertices: Sequence[Bits]) -> Callable[[Bits, Bits], bool]:
+def _chvatal_rule(vertices: Sequence[Bits]) -> Rule:
     """Chvatal's criterion (JCTB 1975): stable sets S and T span an edge
     of STAB(G) iff G[S xor T] is connected.  Two vertices of G are
     joined iff no stable set in the vertex set holds both."""
@@ -283,7 +299,7 @@ def _chvatal_rule(vertices: Sequence[Bits]) -> Callable[[Bits, Bits], bool]:
     return adjacent
 
 
-def _product_rule(vertices: Sequence[Bits]) -> Callable[[Bits, Bits], bool]:
+def _product_rule(vertices: Sequence[Bits]) -> Rule:
     """A single-row double-cover polytope is an octahedron on the row's
     four support coordinates times a cube on the free ones, the
     coordinates every vertex can flip.  A pair is adjacent iff it is
@@ -304,7 +320,7 @@ def _product_rule(vertices: Sequence[Bits]) -> Callable[[Bits, Bits], bool]:
     return adjacent
 
 
-def _bruteforce_midpoint_rule(vertices: Sequence[Bits]) -> Callable[[Bits, Bits], bool]:
+def _bruteforce_midpoint_rule(vertices: Sequence[Bits]) -> Rule:
     """The midpoint rule by support-subset search: u and v are adjacent
     iff their midpoint is not a convex combination of the other
     vertices.  Only vertices agreeing with u and v wherever those agree
@@ -325,33 +341,13 @@ def _bruteforce_midpoint_rule(vertices: Sequence[Bits]) -> Callable[[Bits, Bits]
     return adjacent
 
 
-_FAMILY_RULES: dict[str, Callable[[Sequence[Bits]], Callable[[Bits, Bits], bool]]] = {
-    "stable": _chvatal_rule,
-    "dcp": _product_rule,
-    "npadj": _bruteforce_midpoint_rule,
-}
-
-
-def run_family_midpoint_sweep(
-    *, progress: Progress | None = None
-) -> AdjacencyCrosscheckResult:
+def run_family_midpoint_sweep(*, progress: Progress | None = None) -> AdjacencyCrosscheckResult:
     """Compare the adjacency decision on every vertex pair of
     family-built polytopes against rules that run no LP: Chvatal's
     criterion on stable-set polytopes, the octahedron-times-cube product
     on single-row double-cover polytopes, and the midpoint rule by
     support-subset search on adjacency-family polytopes."""
-    result = AdjacencyCrosscheckResult()
-    for label, vertices in family_vertex_sets():
-        result.vertex_sets += 1
-        family = next(f for f in _FAMILY_RULES if label.startswith(f))
-        rule = _FAMILY_RULES[family](vertices)
-        for u, v in combinations(vertices, 2):
-            verdict = are_adjacent(vertices, u, v)
-            result.pairs += 1
-            if verdict.adjacent != rule(u, v):
-                result.disagreements += 1
-        _tick(progress, f"{result.vertex_sets} family vertex sets")
-    return result
+    return _crosscheck(family_vertex_sets(), "family vertex sets", progress)
 
 
 # ---- pair extension sweep ----------------------------------------------------
@@ -476,10 +472,7 @@ def run_face_corollary_sweep(*, progress: Progress | None = None) -> FaceCorolla
             for total, index_pairs in _equal_sum_classes(words, nv):
                 for size in range(3, len(index_pairs) + 1, 2):
                     for chosen in combinations(index_pairs, size):
-                        face = []
-                        for i, j in chosen:
-                            face.append(vertices[i])
-                            face.append(vertices[j])
+                        face = [vertices[k] for pair in chosen for k in pair]
                         result.subsets += 1
                         if is_face(face, vertices) is not None:
                             result.counterexamples.append(

@@ -49,6 +49,7 @@ from .model import (
     Bits,
     Graph,
     as_bits,
+    as_pair,
     as_tuple,
     bits_from_int,
     bits_to_int,
@@ -137,10 +138,7 @@ def build_pair_family(graph: Graph, pairs: Sequence[tuple[Sequence[int], Sequenc
     masks = stable_edge_masks(graph)
     words: list[tuple[int, int]] = []
     for idx, pair in enumerate(pairs):
-        try:
-            u, v = pair
-        except (TypeError, ValueError):
-            raise InputError(f"family entry {idx} is not a pair: {pair!r}") from None
+        u, v = as_pair(pair, "family entry", idx)
         ub, vb = as_bits(u), as_bits(v)
         if len(ub) != d or len(vb) != d:
             raise DimensionMismatch(d, len(ub) if len(ub) != d else len(vb))

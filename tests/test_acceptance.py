@@ -80,7 +80,7 @@ def test_criterion_3_hull_and_adjacency_oracles():
         f"{hull.queries} membership queries, "
         f"{segment.vertex_sets} random sets / {segment.pairs} pairs vs segment rule, "
         f"{midpoint.vertex_sets} family sets / {midpoint.pairs} pairs vs midpoint rule, "
-        f"{hull.disagreements + segment.disagreements + midpoint.disagreements} disagreements",
+        f"{sum(len(r.disagreements) for r in (hull, segment, midpoint))} disagreements",
     )
 
 

@@ -29,7 +29,7 @@ def _corpus():
     every family set, every pair of the README's set and of 40 random
     sets, and the special pair of every 25th matsui instance and of the
     infeasible 4x4 instance."""
-    for _, vertices in family_vertex_sets():
+    for vertices, _ in family_vertex_sets():
         yield vertices, list(combinations(vertices, 2))[::3]
     yield README_SET, list(combinations(README_SET, 2))
     rng = random.Random(20261018)

@@ -117,6 +117,29 @@ def test_vertex_count_formula_across_family():
         assert report.criterion_holds
 
 
+def test_npadj_vertex_set_is_an_odd_equal_sum_family():
+    # The paper's hinge: the adjacency-family polytope of a is 2k + 1
+    # complementary pairs, k = |part(a)|, all summing to the all-ones
+    # vector.  For k >= 1 that is an odd family of at least three
+    # equal-sum pairs, which no stable-set polytope has as a face; k = 0
+    # is the segment between the special vertices.
+    ks = set()
+    for a in matsui_instance_family():
+        verts = enumerate_vertices(npadj(a))
+        k = len(enumerate_vertices(part(a)))
+        ks.add(k)
+        pairs = {frozenset((x, complement(x))) for x in verts}
+        assert len(verts) == 2 + 4 * k
+        assert len(pairs) == 2 * k + 1 == len(verts) // 2
+        ones = (1,) * len(verts[0])
+        assert all(tuple(map(sum, zip(*p))) == ones for p in pairs)
+        assert frozenset(special_vertices(a)) in pairs
+        assert (len(pairs) >= 3) == (k >= 1)
+        if k == 0:
+            assert sorted(verts) == sorted(special_vertices(a))
+    assert ks == {0, 1, 2, 3, 5, 6, 12}
+
+
 def test_rejects_wrong_row_weight():
     with pytest.raises(WrongRowWeight):
         matsui_check(BinaryMatrix.from_rows([[1, 1, 0, 0]]))

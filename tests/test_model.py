@@ -100,6 +100,17 @@ def test_graph_rejects_bad_edges():
         Graph(2, [(0, 1), (1, 0)])
 
 
+@pytest.mark.parametrize("edge", [(0, 1, 2), 5, (0,)], ids=["triple", "int", "single"])
+def test_graph_edge_must_be_a_pair(edge):
+    with pytest.raises(InputError, match=f"^edge 1 is not a pair: {re.escape(repr(edge))}$"):
+        Graph(3, [(0, 1), edge])
+
+
+def test_graph_edge_list_must_be_a_sequence():
+    with pytest.raises(InputError, match="^edge list 5 is not a sequence$"):
+        Graph(3, 5)
+
+
 def test_equal_edge_sets_give_equal_graphs():
     edges = [(0, 1), (1, 2), (0, 3)]
     reference = Graph(4, tuple(sorted(edges)))

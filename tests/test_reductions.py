@@ -173,9 +173,9 @@ def test_face_slice_selects_fixed_coordinates():
         (((0, 0.5),), "fix value 0.5 is not an integer"),
         (((0, 2),), "fix value must be 0/1"),
         (5, "face fixes 5 is not a sequence"),
-        (((0,),), r"face fix \(0,\) is not a \(coordinate, value\) pair"),
-        (((0, 0, 1),), r"face fix \(0, 0, 1\) is not a \(coordinate, value\) pair"),
-        ((7,), "face fix 7 is not a"),
+        (((0,),), r"face fix 0 is not a pair: \(0,\)$"),
+        (((0, 1), (0, 0, 1)), r"face fix 1 is not a pair: \(0, 0, 1\)$"),
+        ((7,), "face fix 0 is not a pair: 7$"),
     ],
     ids=["coordinate-float", "value-float", "value-2", "not-a-sequence", "short", "long", "entry-int"],
 )

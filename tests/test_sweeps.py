@@ -12,6 +12,8 @@ from polyadj.matsui import special_vertices
 from polyadj.model import BinaryMatrix, Graph, bits_from_int, dcp, npadj, stable
 from polyadj.sweeps import family_vertex_sets, matsui_instance_family
 
+README_SET = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)]
+
 
 def test_instance_family_is_deduplicated_and_large():
     fam = matsui_instance_family()
@@ -22,10 +24,13 @@ def test_instance_family_is_deduplicated_and_large():
 
 
 def test_family_vertex_sets_cover_every_family():
-    labels = [label for label, _ in family_vertex_sets()]
-    assert len(labels) >= 100
-    for prefix in ("stable", "dcp", "npadj"):
-        assert any(label.startswith(prefix) for label in labels)
+    sets = family_vertex_sets()
+    assert len(sets) >= 100
+    rules = [make_rule for _, make_rule in sets]
+    assert set(rules) == {sweeps._chvatal_rule, sweeps._product_rule, sweeps._bruteforce_midpoint_rule}
+    # the single-row codes of width 4 to 6 and 3 to 4, after the graphs
+    assert rules.count(sweeps._product_rule) == 1 + 5 + 15
+    assert rules.count(sweeps._bruteforce_midpoint_rule) == 1 + 4
 
 
 def test_family_rules_on_known_polytopes():
@@ -49,6 +54,37 @@ def test_family_rules_on_known_polytopes():
     a = BinaryMatrix.from_rows([[1, 1, 1]])
     midpoint = sweeps._bruteforce_midpoint_rule(enumerate_vertices(npadj(a)))
     assert not midpoint(*special_vertices(a))
+
+
+def test_segment_rule_on_the_readme_set():
+    # 000 and 111 are the one non-adjacent pair, and their midpoint
+    # misses the hull of the other three
+    segment = sweeps._segment_rule(README_SET)
+    for u, v in combinations(README_SET, 2):
+        assert segment(u, v) == ({u, v} != {(0, 0, 0), (1, 1, 1)})
+    assert sweeps._segment_rule([(0, 1), (1, 0)])((0, 1), (1, 0))
+
+
+def test_crosscheck_names_each_disagreement():
+    def always_adjacent(vertices):
+        return lambda u, v: True
+
+    result = sweeps._crosscheck([(README_SET, always_adjacent)], "sets", None)
+    assert (result.vertex_sets, result.pairs) == (1, 10)
+    assert result.disagreements == [
+        "pair 000 111 of {000 001 010 100 111}: are_adjacent False, always_adjacent True"
+    ]
+    assert not result.all_hold
+    assert sweeps._crosscheck([(README_SET, sweeps._segment_rule)], "sets", None).all_hold
+
+
+def test_hull_crosscheck_names_each_disagreement(monkeypatch):
+    monkeypatch.setattr(sweeps, "in_convex_hull_bruteforce", lambda point, vertices: None)
+    result = sweeps.run_hull_crosscheck()
+    assert len(result.disagreements) == result.inside_answers == 563
+    assert not result.all_hold
+    assert all(entry.startswith("point (") for entry in result.disagreements)
+    assert all(entry.endswith(": inside by LP True, by support search False") for entry in result.disagreements)
 
 
 def test_equal_sum_classes_match_a_tuple_scan():
